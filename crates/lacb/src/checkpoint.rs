@@ -25,7 +25,7 @@
 //! *stateless* (every draw is a pure hash of coordinates), so it needs
 //! no checkpointing: a restored run replays the same chaos.
 
-use crate::assigner::Assigner;
+use crate::core::{self, Engine};
 use crate::lacb::{Lacb, LacbConfig};
 use crate::overload::OverloadSnapshot;
 use crate::resilient::{ResilienceConfig, ResilientAssigner};
@@ -34,15 +34,17 @@ use bandit::state;
 use durability::{atomic_write, parse_v2, write_v2, V2_HEADER};
 use platform_sim::{
     BreakerComponent, BreakerEvent, BrokerLedger, BrokerState, Dataset, DayFeedback, FaultPlan,
-    OverloadStats, Platform, ResilienceStats, RunMetrics, StageTimings, TrialTriple,
+    OverloadStats, Platform, ResilienceStats, RunMetrics, TrialTriple,
 };
 use std::fmt;
 use std::io::ErrorKind;
 use std::path::Path;
-use std::time::Instant;
 
 /// Legacy payload format tag; v1 files are still accepted on load.
 pub const FORMAT_VERSION: &str = "caam-ckpt v1";
+
+/// Checkpoint generations the durable and replicated runs retain.
+pub(crate) const CHECKPOINT_GENERATIONS: usize = 3;
 
 /// Why a checkpoint could not be written, read, or restored.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -831,51 +833,11 @@ pub fn run_chaos_until(
             spiked.days.len()
         )));
     }
-    let mut platform = Platform::from_dataset(&spiked);
-    platform.enable_faults(plan);
     let mut assigner = ResilientAssigner::new(Lacb::new(cfg), rcfg);
-    let mut ledger = BrokerLedger::new(platform.num_brokers());
-    let mut progress = RunProgress::default();
-    for (d, day) in spiked.days.iter().take(stop_after_day + 1).enumerate() {
-        platform.begin_day();
-        let t0 = Instant::now();
-        assigner.begin_day(&platform, d);
-        progress.elapsed_secs += t0.elapsed().as_secs_f64();
-        for (b, batch) in day.iter().enumerate() {
-            let t = Instant::now();
-            let assignment = assigner.assign_batch(&platform, &batch.requests);
-            progress.elapsed_secs += t.elapsed().as_secs_f64();
-            let outcome = platform.execute_batch(&batch.requests, &assignment);
-            progress.requests_failed += outcome.failed.len() as u64;
-            ledger.record_batch(&outcome);
-            // Mirror run_chaos batch-for-batch so a checkpointed prefix
-            // is bit-identical to the uninterrupted run.
-            if let Some(fault) = plan.state_fault(d, b, platform.num_brokers()) {
-                assigner.inject_state_fault(&fault);
-            }
-            if plan.batch_replayed(d, b) {
-                let _ = assigner.assign_batch(&platform, &batch.requests);
-            }
-            assigner.repair_quarantined_brokers();
-        }
-        let feedback = platform.end_day();
-        let t = Instant::now();
-        assigner.end_day(&platform, &feedback);
-        progress.elapsed_secs += t.elapsed().as_secs_f64();
-        assigner.repair_quarantined_brokers();
-        ledger.end_day(feedback.realized);
-        progress.daily_utility.push(feedback.realized);
-        progress.daily_elapsed.push(progress.elapsed_secs);
-    }
-    progress.next_day = stop_after_day + 1;
-    Ok(Checkpoint::capture(
-        assigner.primary(),
-        &platform,
-        &ledger,
-        &progress,
-        assigner.pending_feedback(),
-        assigner.stats(),
-    ))
+    let mut engine = Engine::new(&spiked, core::platform(&spiked, plan), &mut assigner);
+    engine.truncate(Some(stop_after_day + 1));
+    let Ok(()) = engine.run(&mut ());
+    Ok(engine.checkpoint())
 }
 
 /// Restore a checkpoint and finish the horizon. The returned metrics
@@ -890,58 +852,15 @@ pub fn resume_chaos(
     plan: FaultPlan,
 ) -> Result<RunMetrics, CheckpointError> {
     let spiked = dataset.with_batch_spikes(&plan);
-    let mut platform = Platform::from_dataset(&spiked);
-    platform.enable_faults(plan);
-    let restored = ckpt.restore(cfg, &mut platform)?;
-    let Restored { matcher, mut ledger, mut progress, pending_feedback, stats, .. } = restored;
+    let mut platform = core::platform(&spiked, plan);
+    let Restored { matcher, ledger, progress, pending_feedback, stats, .. } =
+        ckpt.restore(cfg, &mut platform)?;
     let mut assigner = ResilientAssigner::new(matcher, rcfg);
     assigner.restore_channel(pending_feedback, stats);
-    for (d, day) in spiked.days.iter().enumerate().skip(progress.next_day) {
-        platform.begin_day();
-        let t0 = Instant::now();
-        assigner.begin_day(&platform, d);
-        progress.elapsed_secs += t0.elapsed().as_secs_f64();
-        for (b, batch) in day.iter().enumerate() {
-            let t = Instant::now();
-            let assignment = assigner.assign_batch(&platform, &batch.requests);
-            progress.elapsed_secs += t.elapsed().as_secs_f64();
-            let outcome = platform.execute_batch(&batch.requests, &assignment);
-            progress.requests_failed += outcome.failed.len() as u64;
-            ledger.record_batch(&outcome);
-            // Mirror run_chaos batch-for-batch (see run_chaos_until).
-            if let Some(fault) = plan.state_fault(d, b, platform.num_brokers()) {
-                assigner.inject_state_fault(&fault);
-            }
-            if plan.batch_replayed(d, b) {
-                let _ = assigner.assign_batch(&platform, &batch.requests);
-            }
-            assigner.repair_quarantined_brokers();
-        }
-        let feedback = platform.end_day();
-        let t = Instant::now();
-        assigner.end_day(&platform, &feedback);
-        progress.elapsed_secs += t.elapsed().as_secs_f64();
-        assigner.repair_quarantined_brokers();
-        ledger.end_day(feedback.realized);
-        progress.daily_utility.push(feedback.realized);
-        progress.daily_elapsed.push(progress.elapsed_secs);
-    }
-    let mut stats = assigner.resilience_stats().unwrap_or_default();
-    stats.requests_failed = progress.requests_failed;
-    Ok(RunMetrics {
-        algorithm: assigner.name(),
-        total_utility: ledger.total_realized(),
-        elapsed_secs: progress.elapsed_secs,
-        daily_utility: progress.daily_utility,
-        daily_elapsed: progress.daily_elapsed,
-        ledger,
-        resilience: Some(stats),
-        overload: None,
-        timings: StageTimings::default(),
-        audit: assigner.take_audit_report(),
-        replication: None,
-        storage: None,
-    })
+    let mut engine = Engine::new(&spiked, platform, &mut assigner);
+    engine.ledger = ledger;
+    engine.progress = progress;
+    Ok(engine.serve())
 }
 
 #[cfg(test)]
@@ -949,21 +868,8 @@ mod tests {
     use super::*;
     use crate::resilient::run_chaos;
     use crate::runner::RunConfig;
-    use platform_sim::{FaultConfig, SyntheticConfig};
-
-    fn dataset(seed: u64) -> Dataset {
-        Dataset::synthetic(&SyntheticConfig {
-            num_brokers: 30,
-            num_requests: 900,
-            days: 4,
-            imbalance: 0.2,
-            seed,
-        })
-    }
-
-    fn chaos_plan(seed: u64) -> FaultPlan {
-        FaultPlan::new(FaultConfig::scenario("broker-dropout+lost-feedback", seed).unwrap())
-    }
+    use crate::testkit::{chaos_plan, dataset};
+    use platform_sim::SyntheticConfig;
 
     #[test]
     fn checkpoint_restore_resume_matches_uninterrupted_run_exactly() {

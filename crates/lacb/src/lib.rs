@@ -24,6 +24,7 @@ pub mod assigner;
 pub mod audit;
 pub mod baselines;
 pub mod checkpoint;
+mod core;
 pub mod lacb;
 pub mod overload;
 pub mod replication;
@@ -31,6 +32,8 @@ pub mod resilient;
 pub mod runner;
 pub mod storage;
 pub mod supervisor;
+#[cfg(test)]
+mod testkit;
 pub mod value_function;
 
 pub use assigner::Assigner;

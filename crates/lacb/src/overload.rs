@@ -29,7 +29,7 @@
 //! counts, and the whole controller state round-trips through the
 //! day-boundary checkpoint ([`OverloadSnapshot`]).
 
-use crate::assigner::Assigner;
+use crate::core::{self, Engine};
 use crate::lacb::{Lacb, LacbConfig};
 use crate::resilient::{ResilienceConfig, ResilientAssigner};
 use admission::{
@@ -39,11 +39,10 @@ use admission::{
 };
 use matching::MatchMode;
 use platform_sim::{
-    BatchOutcome, BreakerComponent, BreakerEvent, BrokerLedger, Dataset, FaultPlan, OverloadStats,
-    Platform, Request, ResilienceStats, RunMetrics, StageTimings,
+    BatchOutcome, BreakerComponent, BreakerEvent, Dataset, FaultPlan, OverloadStats, Platform,
+    Request, RunMetrics,
 };
 use std::collections::HashMap;
-use std::time::Instant;
 
 /// Knobs of the overload-protection layer. All units are batch ticks
 /// and request counts — nothing here reads a clock.
@@ -422,16 +421,6 @@ pub struct OverloadOutcome {
     pub final_state: String,
 }
 
-/// Ladder degradations the solver breaker counts as failures.
-fn ladder_degradations(s: &ResilienceStats) -> u64 {
-    s.primary_panics + s.primary_timeouts + s.invalid_primary_outputs
-}
-
-/// Feedback-channel failures the bandit breaker counts.
-fn channel_failures(s: &ResilienceStats) -> u64 {
-    s.feedback_retries + s.feedback_lost_days
-}
-
 /// Run one overload-protected resilient LACB serving pass over the
 /// whole horizon: every batch flows through admission control before
 /// it reaches the matcher, and quality degrades (brownout, breakers)
@@ -445,102 +434,17 @@ pub fn run_overload(
     plan: FaultPlan,
 ) -> OverloadOutcome {
     let spiked = dataset.with_batch_spikes(&plan);
-    let mut platform = Platform::from_dataset(&spiked);
-    platform.enable_faults(plan);
     let mut assigner = ResilientAssigner::new(Lacb::new(cfg), rcfg);
-    let mut ov = OverloadState::new(ocfg.clone());
-    let mut ledger = BrokerLedger::new(platform.num_brokers());
-    let mut elapsed = 0.0f64;
-    let mut daily_utility = Vec::new();
-    let mut daily_elapsed = Vec::new();
-    let mut requests_failed = 0u64;
-    let mut timings = StageTimings::default();
-    let pool_before = pool::stats();
-
-    for (d, day) in spiked.days.iter().enumerate() {
-        platform.begin_day();
-        let t0 = Instant::now();
-        assigner.begin_day(&platform, d);
-        let begin_secs = t0.elapsed().as_secs_f64();
-        elapsed += begin_secs;
-        timings.begin_day_secs.push(begin_secs);
-        for (batch_idx, batch) in day.iter().enumerate() {
-            let t = Instant::now();
-            let admitted = ov.admit(assigner.primary_mut(), &platform, &batch.requests);
-            ov.plan_quality(assigner.primary_mut());
-            if !admitted.is_empty() {
-                let before = ladder_degradations(assigner.stats());
-                let assignment = assigner.assign_batch(&platform, &admitted);
-                let degraded = ladder_degradations(assigner.stats()) > before;
-                ov.observe_solve(assigner.primary(), degraded);
-                let outcome = platform.execute_batch(&admitted, &assignment);
-                requests_failed += outcome.failed.len() as u64;
-                ov.record_served(&outcome);
-                ledger.record_batch(&outcome);
-            }
-            let batch_secs = t.elapsed().as_secs_f64();
-            elapsed += batch_secs;
-            timings.assign_batch_secs.push(batch_secs);
-            // State corruption and duplicated delivery land after
-            // execution; the matcher's audits repair between batches.
-            if let Some(fault) = plan.state_fault(d, batch_idx, platform.num_brokers()) {
-                assigner.inject_state_fault(&fault);
-            }
-            if plan.batch_replayed(d, batch_idx) && !admitted.is_empty() {
-                // Duplicate delivery of the admitted set; output
-                // discarded — the original execution already happened.
-                let _ = assigner.assign_batch(&platform, &admitted);
-            }
-            assigner.repair_quarantined_brokers();
-        }
-        let feedback = platform.end_day();
-        let t = Instant::now();
-        let fb_before = channel_failures(assigner.stats());
-        assigner.end_day(&platform, &feedback);
-        ov.observe_feedback(channel_failures(assigner.stats()) > fb_before);
-        ov.end_day();
-        let end_secs = t.elapsed().as_secs_f64();
-        elapsed += end_secs;
-        timings.end_day_secs.push(end_secs);
-        assigner.repair_quarantined_brokers();
-        ledger.end_day(feedback.realized);
-        daily_utility.push(feedback.realized);
-        daily_elapsed.push(elapsed);
-    }
-
-    let mut stats = assigner.resilience_stats().unwrap_or_default();
-    stats.requests_failed = requests_failed;
-    if let Some(b) = assigner.take_stage_breakdown() {
-        timings.breakdown.absorb(&b);
-    }
-    let ps = pool::stats();
-    timings.breakdown.pool_sync_secs += (ps.sync_nanos - pool_before.sync_nanos) as f64 * 1e-9;
-    timings.breakdown.parallel_rounds += ps.parallel_rounds - pool_before.parallel_rounds;
-    timings.breakdown.inline_rounds += ps.inline_rounds - pool_before.inline_rounds;
-    let mut final_state = String::new();
-    assigner.primary().write_state(&mut final_state);
-    OverloadOutcome {
-        metrics: RunMetrics {
-            algorithm: format!("Overload({})", assigner.name()),
-            total_utility: ledger.total_realized(),
-            elapsed_secs: elapsed,
-            daily_utility,
-            daily_elapsed,
-            ledger,
-            resilience: Some(stats),
-            overload: Some(ov.stats().clone()),
-            timings,
-            audit: assigner.take_audit_report(),
-            replication: None,
-            storage: None,
-        },
-        final_state,
-    }
+    let mut engine = Engine::new(&spiked, core::platform(&spiked, plan), &mut assigner);
+    engine.overload = Some(OverloadState::new(ocfg.clone()));
+    let metrics = engine.serve();
+    OverloadOutcome { metrics, final_state: core::learned_state(&assigner) }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assigner::Assigner;
     use platform_sim::{ramp_dataset, FaultConfig, SyntheticConfig};
 
     fn dataset(seed: u64) -> Dataset {

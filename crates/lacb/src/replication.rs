@@ -35,14 +35,13 @@
 //! state equal to an uninterrupted [`crate::resilient::run_chaos`] run,
 //! for every seeded kill point and network-fault scenario.
 
-use crate::assigner::Assigner;
-use crate::checkpoint::{Checkpoint, RunProgress};
+use crate::checkpoint::CHECKPOINT_GENERATIONS;
+use crate::core::{self, Engine, Logged, Sink, Unit};
 use crate::lacb::{Lacb, LacbConfig};
 use crate::resilient::{ResilienceConfig, ResilientAssigner};
 use durability::{tmp_path, CheckpointStore, StdVfs, StoreError, Vfs, Wal, WalError, WalRecord};
 use platform_sim::{
-    BrokerLedger, Dataset, FaultPlan, KillPoint, NetDelivery, NetFaultPlan, Platform,
-    ReplicationStats, RunMetrics, StageTimings,
+    Dataset, FaultPlan, KillPoint, NetDelivery, NetFaultPlan, ReplicationStats, RunMetrics,
 };
 use replica::{
     AckChannel, Admitted, Delivery, FailureDetector, Follower, FramePayload, Primary, SimLink,
@@ -51,7 +50,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// File name of the primary's WAL inside the replication directory.
 pub const REPLICA_WAL_FILE: &str = "primary.wal";
@@ -60,17 +58,17 @@ pub const REPLICA_WAL_FILE: &str = "primary.wal";
 /// convergence; hitting it is a protocol bug, not a slow link.
 const CONVERGENCE_GUARD_TICKS: u64 = 100_000;
 
+/// Consecutive silent link ticks before the follower promotes.
+const HEARTBEAT_TIMEOUT_TICKS: u64 = 6;
+
+/// Link ticks without ack progress before the outbox is retransmitted.
+const RETRANSMIT_AFTER_TICKS: u64 = 2;
+
 /// Knobs of a replicated run.
 #[derive(Clone, Debug)]
 pub struct ReplicationConfig {
     /// Directory holding the primary's WAL and checkpoint generations.
     pub dir: PathBuf,
-    /// Checkpoint generations to retain.
-    pub keep: usize,
-    /// Consecutive silent link ticks before the follower promotes.
-    pub heartbeat_timeout: u64,
-    /// Ticks without ack progress before the outbox is retransmitted.
-    pub retransmit_after: u64,
     /// Seeded primary kill point (failover harness only).
     pub kill: Option<KillPoint>,
     /// Filesystem the primary's WAL and checkpoint store go through.
@@ -83,14 +81,11 @@ pub struct ReplicationConfig {
 }
 
 impl ReplicationConfig {
-    /// A replicated run rooted at `dir` with default timeouts, no
-    /// injected kill, the real filesystem, and storage faults fatal.
+    /// A replicated run rooted at `dir` with no injected kill, the real
+    /// filesystem, and storage faults fatal.
     pub fn at(dir: &Path) -> Self {
         ReplicationConfig {
             dir: dir.to_path_buf(),
-            keep: 3,
-            heartbeat_timeout: 6,
-            retransmit_after: 2,
             kill: None,
             vfs: Arc::new(StdVfs),
             tolerate_storage_faults: false,
@@ -181,201 +176,142 @@ pub struct ReplicatedOutcome {
     pub wal_pruned: u64,
 }
 
-/// The next serving unit a pipeline will execute.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Unit {
-    DayStart(usize),
-    Batch(usize, usize),
-    DayEnd(usize),
-    Done,
+/// One node's serving pipeline: the core over the resilient LACB
+/// ladder. The primary steps its own; the follower steps an identical
+/// twin by verified replay and, after promotion, directly.
+type Node<'a> = Engine<'a, ResilientAssigner<Lacb>>;
+
+/// The primary's storage: its WAL and checkpoint store. As the primary
+/// engine's sink it appends each unit's record before the unit takes
+/// effect and keeps it for shipping. In tolerant mode a failing handle
+/// is latched off and the fault counted; otherwise the fault is fatal.
+struct PrimaryDisk {
+    store: Option<CheckpointStore>,
+    wal: Option<Wal>,
+    tolerant: bool,
+    /// The record committed last, waiting to be shipped.
+    shipped: Option<WalRecord>,
+    storage_faults: u64,
+    checkpoints_skipped: u64,
+    prunes_skipped: u64,
+    pruned: u64,
 }
 
-/// One deterministic serving pipeline (platform + assigner + ledger),
-/// advanced one WAL-record-sized unit at a time. The primary drives one
-/// directly; the follower drives an identical twin by verified replay —
-/// and, after promotion, directly.
-struct Engine<'a> {
-    spiked: &'a Dataset,
-    plan: FaultPlan,
-    platform: Platform,
-    assigner: ResilientAssigner<Lacb>,
-    ledger: BrokerLedger,
-    daily_utility: Vec<f64>,
-    daily_elapsed: Vec<f64>,
-    elapsed: f64,
-    requests_failed: u64,
-    next_day: usize,
-    next_batch: usize,
-    day_open: bool,
-}
-
-impl<'a> Engine<'a> {
-    fn new(spiked: &'a Dataset, cfg: LacbConfig, rcfg: ResilienceConfig, plan: FaultPlan) -> Self {
-        let mut platform = Platform::from_dataset(spiked);
-        platform.enable_faults(plan);
-        let num_brokers = platform.num_brokers();
-        Engine {
-            spiked,
-            plan,
-            platform,
-            assigner: ResilientAssigner::new(Lacb::new(cfg), rcfg),
-            ledger: BrokerLedger::new(num_brokers),
-            daily_utility: Vec::new(),
-            daily_elapsed: Vec::new(),
-            elapsed: 0.0,
-            requests_failed: 0,
-            next_day: 0,
-            next_batch: 0,
-            day_open: false,
-        }
-    }
-
-    fn peek(&self) -> Unit {
-        if !self.day_open {
-            if self.next_day >= self.spiked.days.len() {
-                return Unit::Done;
-            }
-            return Unit::DayStart(self.next_day);
-        }
-        if self.next_batch < self.spiked.days[self.next_day].len() {
-            Unit::Batch(self.next_day, self.next_batch)
-        } else {
-            Unit::DayEnd(self.next_day)
-        }
-    }
-
-    /// Execute the next serving unit; returns the WAL record it
-    /// produced, or `None` when the horizon is complete. The per-batch
-    /// body — fault injection, duplicated delivery, quarantine repair —
-    /// mirrors [`crate::resilient::run_chaos`] exactly, so a replicated
-    /// run's state is bit-identical to a single-node one.
-    fn step(&mut self) -> Option<WalRecord> {
-        let spiked = self.spiked;
-        match self.peek() {
-            Unit::Done => None,
-            Unit::DayStart(d) => {
-                self.platform.begin_day();
-                let t = Instant::now();
-                self.assigner.begin_day(&self.platform, d);
-                self.elapsed += t.elapsed().as_secs_f64();
-                self.day_open = true;
-                self.next_batch = 0;
-                Some(WalRecord::DayStart { day: d })
-            }
-            Unit::Batch(d, b) => {
-                let requests = &spiked.days[d][b].requests;
-                let t = Instant::now();
-                let assignment = self.assigner.assign_batch(&self.platform, requests);
-                self.elapsed += t.elapsed().as_secs_f64();
-                let rec = WalRecord::Batch {
-                    day: d,
-                    batch: b,
-                    draws: self.platform.appeal_draws(),
-                    assignment: assignment.clone(),
-                };
-                let outcome = self.platform.execute_batch(requests, &assignment);
-                self.requests_failed += outcome.failed.len() as u64;
-                self.ledger.record_batch(&outcome);
-                if let Some(fault) = self.plan.state_fault(d, b, self.platform.num_brokers()) {
-                    self.assigner.inject_state_fault(&fault);
-                }
-                if self.plan.batch_replayed(d, b) {
-                    let _ = self.assigner.assign_batch(&self.platform, requests);
-                }
-                self.assigner.repair_quarantined_brokers();
-                self.next_batch += 1;
-                Some(rec)
-            }
-            Unit::DayEnd(d) => {
-                let feedback = self.platform.end_day();
-                let rec = WalRecord::DayEnd {
-                    day: d,
-                    realized_bits: feedback.realized.to_bits(),
-                    trials: feedback.trials.len(),
-                    draws: self.platform.appeal_draws(),
-                };
-                let t = Instant::now();
-                self.assigner.end_day(&self.platform, &feedback);
-                self.elapsed += t.elapsed().as_secs_f64();
-                self.assigner.repair_quarantined_brokers();
-                self.ledger.end_day(feedback.realized);
-                self.daily_utility.push(feedback.realized);
-                self.daily_elapsed.push(self.elapsed);
-                self.day_open = false;
-                self.next_day = d + 1;
-                Some(rec)
-            }
-        }
-    }
-
-    /// Recompute-and-verify replay of one shipped record: the record
-    /// must land at this engine's exact position, and re-executing the
-    /// unit must reproduce it bit-for-bit.
-    fn verify_apply(&mut self, rec: &WalRecord) -> Result<(), ReplicationError> {
-        let unit = self.peek();
-        let in_position = match (rec, unit) {
-            (WalRecord::DayStart { day }, Unit::DayStart(d)) => *day == d,
-            (WalRecord::Batch { day, batch, .. }, Unit::Batch(d, b)) => *day == d && *batch == b,
-            (WalRecord::DayEnd { day, .. }, Unit::DayEnd(d)) => *day == d,
-            _ => false,
+impl PrimaryDisk {
+    fn open(repl: &ReplicationConfig) -> Result<Self, ReplicationError> {
+        let mut disk = PrimaryDisk {
+            store: None,
+            wal: None,
+            tolerant: repl.tolerate_storage_faults,
+            shipped: None,
+            storage_faults: 0,
+            checkpoints_skipped: 0,
+            prunes_skipped: 0,
+            pruned: 0,
         };
-        if !in_position {
-            return Err(ReplicationError::Divergence {
-                day: rec.day(),
-                batch: None,
-                detail: format!("record {rec:?} arrived at pipeline position {unit:?}"),
-            });
+        match CheckpointStore::open_with(repl.vfs.clone(), &repl.dir, CHECKPOINT_GENERATIONS) {
+            Ok(s) => disk.store = Some(s),
+            Err(e) => disk.absorb(e)?,
         }
-        let recomputed = self.step().expect("position matched, engine not done");
-        if recomputed != *rec {
-            let batch = match rec {
-                WalRecord::Batch { batch, .. } => Some(*batch),
-                _ => None,
-            };
-            return Err(ReplicationError::Divergence {
-                day: rec.day(),
-                batch,
-                detail: format!("shipped {rec:?} recomputed {recomputed:?}"),
-            });
+        // The replicated primary starts a fresh log; composing
+        // replication with single-node crash recovery is `supervisor`'s
+        // job.
+        match Wal::recover_with(repl.vfs.clone(), &repl.dir.join(REPLICA_WAL_FILE)) {
+            Ok((w, _, _)) => disk.wal = Some(w),
+            Err(e) => disk.absorb(e)?,
+        }
+        Ok(disk)
+    }
+
+    /// Count a storage fault in tolerant mode; fail otherwise.
+    fn absorb(&mut self, e: impl Into<ReplicationError>) -> Result<(), ReplicationError> {
+        if !self.tolerant {
+            return Err(e.into());
+        }
+        self.storage_faults += 1;
+        Ok(())
+    }
+
+    /// Append to the WAL. A failed append latches the WAL off: the
+    /// follower's acked watermark is the durability story from there on.
+    fn append(&mut self, rec: &WalRecord) -> Result<(), ReplicationError> {
+        if let Some(Err(e)) = self.wal.as_mut().map(|w| w.append(rec)) {
+            self.absorb(e)?;
+            self.wal = None;
         }
         Ok(())
     }
 
-    fn run_to_end(&mut self) {
-        while self.step().is_some() {}
-    }
-
-    fn progress(&self) -> RunProgress {
-        RunProgress {
-            next_day: self.next_day,
-            elapsed_secs: self.elapsed,
-            daily_utility: self.daily_utility.clone(),
-            daily_elapsed: self.daily_elapsed.clone(),
-            requests_failed: self.requests_failed,
+    /// Save the boundary checkpoint, log its WAL mark, and prune the WAL
+    /// below `prune_day`. A missing or failing store or WAL counts the
+    /// skip: a degraded WAL has nothing safe to prune.
+    fn checkpoint(
+        &mut self,
+        boundary: usize,
+        text: &str,
+        prune_day: usize,
+    ) -> Result<(), ReplicationError> {
+        match self.store.as_ref().map(|s| s.save(boundary, text, None)) {
+            Some(Ok(_)) => self.append(&WalRecord::Checkpoint { next_day: boundary })?,
+            Some(Err(e)) => {
+                self.absorb(e)?;
+                self.checkpoints_skipped += 1;
+            }
+            None => self.checkpoints_skipped += 1,
         }
+        match self.wal.as_mut().map(|w| w.prune_to_watermark(prune_day)) {
+            Some(Ok(n)) => self.pruned += n as u64,
+            Some(Err(e)) => {
+                self.absorb(e)?;
+                self.prunes_skipped += 1;
+                self.wal = None;
+            }
+            None => self.prunes_skipped += 1,
+        }
+        Ok(())
     }
+}
 
-    fn finish(mut self, replication: ReplicationStats) -> (RunMetrics, String) {
-        let mut stats = self.assigner.resilience_stats().unwrap_or_default();
-        stats.requests_failed = self.requests_failed;
-        let mut final_state = String::new();
-        self.assigner.primary().write_state(&mut final_state);
-        let metrics = RunMetrics {
-            algorithm: self.assigner.name(),
-            total_utility: self.ledger.total_realized(),
-            elapsed_secs: self.elapsed,
-            daily_utility: self.daily_utility,
-            daily_elapsed: self.daily_elapsed,
-            ledger: self.ledger,
-            resilience: Some(stats),
-            overload: None,
-            timings: StageTimings::default(),
-            audit: self.assigner.take_audit_report(),
-            replication: Some(replication),
-            storage: None,
-        };
-        (metrics, final_state)
+impl Sink<ResilientAssigner<Lacb>> for PrimaryDisk {
+    type Error = ReplicationError;
+
+    fn commit(&mut self, rec: &WalRecord) -> Result<Option<Logged>, ReplicationError> {
+        self.append(rec)?;
+        self.shipped = Some(rec.clone());
+        Ok(self.wal.as_ref().map(|_| Logged::Disk))
     }
+}
+
+/// The follower's sink: the unit must recompute the shipped record.
+struct Expect<'r>(&'r WalRecord);
+
+impl Sink<ResilientAssigner<Lacb>> for Expect<'_> {
+    type Error = ReplicationError;
+
+    fn commit(&mut self, rec: &WalRecord) -> Result<Option<Logged>, ReplicationError> {
+        if rec == self.0 {
+            return Ok(None);
+        }
+        let batch = match self.0 {
+            WalRecord::Batch { batch, .. } => Some(*batch),
+            _ => None,
+        };
+        let detail = format!("shipped {:?} recomputed {rec:?}", self.0);
+        Err(ReplicationError::Divergence { day: self.0.day(), batch, detail })
+    }
+}
+
+/// Recompute-and-verify replay of one shipped record: the follower's
+/// next unit must reproduce it bit for bit before it takes effect.
+fn verify_apply(engine: &mut Node<'_>, rec: &WalRecord) -> Result<(), ReplicationError> {
+    if engine.step(&mut Expect(rec))? == Unit::Done {
+        return Err(ReplicationError::Divergence {
+            day: rec.day(),
+            batch: None,
+            detail: format!("record {rec:?} arrived after the horizon ended"),
+        });
+    }
+    Ok(())
 }
 
 /// Translate a seeded [`NetDelivery`] verdict into the link's dialect.
@@ -398,7 +334,7 @@ fn exchange(
     link: &mut SimLink,
     acks: &mut AckChannel,
     follower: &mut Follower,
-    engine_f: &mut Engine<'_>,
+    engine_f: &mut Node<'_>,
     detector: &mut FailureDetector,
     primary: &mut Primary,
     primary_alive: &mut bool,
@@ -411,7 +347,7 @@ fn exchange(
             Admitted::Apply(recs) => {
                 saw_traffic = true;
                 for rec in recs {
-                    engine_f.verify_apply(&rec)?;
+                    verify_apply(engine_f, &rec)?;
                 }
             }
             Admitted::Heartbeat => saw_traffic = true,
@@ -432,7 +368,7 @@ fn exchange(
     if !*promoted && detector.tick(saw_traffic) {
         follower.promote();
         *promoted = true;
-        *promoted_at = Some((engine_f.next_day, engine_f.next_batch));
+        *promoted_at = Some(engine_f.position());
     }
     Ok(())
 }
@@ -450,37 +386,14 @@ pub fn run_replicated(
     repl: &ReplicationConfig,
 ) -> Result<ReplicatedOutcome, ReplicationError> {
     let spiked = dataset.with_batch_spikes(&plan);
-    let mut primary_storage_faults: u64 = 0;
-    let mut checkpoints_skipped: u64 = 0;
-    let mut prunes_skipped: u64 = 0;
-    let store = match CheckpointStore::open_with(repl.vfs.clone(), &repl.dir, repl.keep) {
-        Ok(s) => Some(s),
-        Err(e) => {
-            if !repl.tolerate_storage_faults {
-                return Err(e.into());
-            }
-            primary_storage_faults += 1;
-            None
-        }
-    };
-    // The replicated primary starts a fresh log; composing replication
-    // with single-node crash recovery is `supervisor`'s job.
-    let mut wal = match Wal::recover_with(repl.vfs.clone(), &repl.dir.join(REPLICA_WAL_FILE)) {
-        Ok((w, _, _)) => Some(w),
-        Err(e) => {
-            if !repl.tolerate_storage_faults {
-                return Err(e.into());
-            }
-            primary_storage_faults += 1;
-            None
-        }
-    };
-
-    let mut engine_p = Engine::new(&spiked, cfg.clone(), rcfg.clone(), plan);
-    let mut engine_f = Engine::new(&spiked, cfg, rcfg, plan);
+    let mut disk = PrimaryDisk::open(repl)?;
+    let mut ladder_p = ResilientAssigner::new(Lacb::new(cfg.clone()), rcfg.clone());
+    let mut ladder_f = ResilientAssigner::new(Lacb::new(cfg), rcfg);
+    let mut engine_p = Engine::new(&spiked, core::platform(&spiked, plan), &mut ladder_p);
+    let mut engine_f = Engine::new(&spiked, core::platform(&spiked, plan), &mut ladder_f);
     let mut primary = Primary::new(0);
     let mut follower = Follower::new(0);
-    let mut detector = FailureDetector::new(repl.heartbeat_timeout);
+    let mut detector = FailureDetector::new(HEARTBEAT_TIMEOUT_TICKS);
     let mut link = SimLink::new();
     let mut acks = AckChannel::new();
     let mut attempts: HashMap<u64, u64> = HashMap::new();
@@ -490,7 +403,6 @@ pub fn run_replicated(
     let mut primary_alive = true;
     let mut promoted = false;
     let mut promoted_at: Option<(usize, usize)> = None;
-    let mut wal_pruned: u64 = 0;
     let mut stall_ticks: u64 = 0;
     let mut last_acked: u64 = 0;
 
@@ -505,18 +417,8 @@ pub fn run_replicated(
             }
         }
         if primary_alive {
-            let rec = engine_p.step().expect("peeked not done");
-            if let Some(w) = wal.as_mut() {
-                if let Err(e) = w.append(&rec) {
-                    if !repl.tolerate_storage_faults {
-                        return Err(e.into());
-                    }
-                    // Latch the WAL off; the follower's acked watermark
-                    // is the durability story from here on.
-                    primary_storage_faults += 1;
-                    wal = None;
-                }
-            }
+            engine_p.step(&mut disk)?;
+            let rec = disk.shipped.take().expect("every unit commits a record");
             let frame = primary.ship(rec.clone());
             let line = frame.encode();
             let mid_frame_kill = match (repl.kill, &rec) {
@@ -547,72 +449,27 @@ pub fn run_replicated(
             }
             if primary_alive {
                 if let WalRecord::DayEnd { day: d, .. } = rec {
-                    let ckpt = Checkpoint::capture(
-                        engine_p.assigner.primary(),
-                        &engine_p.platform,
-                        &engine_p.ledger,
-                        &engine_p.progress(),
-                        engine_p.assigner.pending_feedback(),
-                        engine_p.assigner.stats(),
-                    )
-                    .with_epoch(primary.epoch());
-                    let text = ckpt.to_v2_text();
+                    let text = engine_p.checkpoint().with_epoch(primary.epoch()).to_v2_text();
                     if repl.kill == Some(KillPoint::MidCheckpoint { day: d }) {
                         // Dying mid-write leaves a torn tmp that the
                         // atomic rename never promoted — invisible to
                         // every reader, exactly like a crashed save.
-                        let healthy = store.as_ref().expect("kill harness runs on a healthy disk");
+                        let healthy =
+                            disk.store.as_ref().expect("kill harness runs on a healthy disk");
                         let tmp = tmp_path(&healthy.generation_path(d + 1));
-                        std::fs::write(&tmp, &text.as_bytes()[..text.len() / 2]).map_err(|e| {
+                        repl.vfs.write(&tmp, &text.as_bytes()[..text.len() / 2]).map_err(|e| {
                             ReplicationError::Protocol(format!("torn tmp write failed: {e}"))
                         })?;
                         primary_alive = false;
                     } else {
-                        match store.as_ref().map(|s| s.save(d + 1, &text, None)) {
-                            Some(Ok(_)) => {
-                                if let Some(w) = wal.as_mut() {
-                                    if let Err(e) =
-                                        w.append(&WalRecord::Checkpoint { next_day: d + 1 })
-                                    {
-                                        if !repl.tolerate_storage_faults {
-                                            return Err(e.into());
-                                        }
-                                        primary_storage_faults += 1;
-                                        wal = None;
-                                    }
-                                }
-                            }
-                            Some(Err(e)) => {
-                                if !repl.tolerate_storage_faults {
-                                    return Err(e.into());
-                                }
-                                primary_storage_faults += 1;
-                                checkpoints_skipped += 1;
-                            }
-                            None => checkpoints_skipped += 1,
-                        }
                         // Prune the WAL below the acked watermark: keep
                         // from the first unacked record's day (or drop
-                        // everything when fully acked). A degraded WAL
-                        // has nothing safe to prune — count the skip.
+                        // everything when fully acked).
                         let prune_day = match primary.retransmit().first().map(|f| &f.payload) {
                             Some(FramePayload::Record(r)) => r.day(),
                             _ => d + 1,
                         };
-                        match wal.as_mut() {
-                            Some(w) => match w.prune_to_watermark(prune_day) {
-                                Ok(n) => wal_pruned += n as u64,
-                                Err(e) => {
-                                    if !repl.tolerate_storage_faults {
-                                        return Err(e.into());
-                                    }
-                                    primary_storage_faults += 1;
-                                    prunes_skipped += 1;
-                                    wal = None;
-                                }
-                            },
-                            None => prunes_skipped += 1,
-                        }
+                        disk.checkpoint(d + 1, &text, prune_day)?;
                         if repl.kill == Some(KillPoint::AfterCheckpoint { day: d }) {
                             primary_alive = false;
                         }
@@ -624,7 +481,7 @@ pub fn run_replicated(
                 link.send(&hb.encode(), verdict(&net, primary.epoch(), hb.seq, hb_attempt));
                 hb_attempt += 1;
             }
-            if primary_alive && !partitioned && stall_ticks >= repl.retransmit_after {
+            if primary_alive && !partitioned && stall_ticks >= RETRANSMIT_AFTER_TICKS {
                 for f in primary.retransmit() {
                     let attempt = attempts.entry(f.seq).or_insert(0);
                     link.send(&f.encode(), verdict(&net, primary.epoch(), f.seq, *attempt));
@@ -724,19 +581,14 @@ pub fn run_replicated(
         for bytes in link.drain() {
             let _ = follower.admit_bytes(&bytes);
         }
-        engine_f.run_to_end();
+        let Ok(()) = engine_f.run(&mut ());
     }
 
-    let follower_converged = if promoted {
-        None
-    } else {
-        let mut follower_state = String::new();
-        engine_f.assigner.primary().write_state(&mut follower_state);
-        let mut primary_state = String::new();
-        engine_p.assigner.primary().write_state(&mut primary_state);
-        Some(follower_state == primary_state && follower.watermark() == primary.next_seq())
-    };
-
+    let mut metrics = if promoted { engine_f.finish() } else { engine_p.finish() };
+    let follower_converged = (!promoted).then(|| {
+        core::learned_state(&ladder_f) == core::learned_state(&ladder_p)
+            && follower.watermark() == primary.next_seq()
+    });
     let replication = ReplicationStats {
         epoch: if promoted { follower.epoch() } else { primary.epoch() },
         promotions: follower.stats().promotions,
@@ -749,84 +601,70 @@ pub fn run_replicated(
         stale_epoch_rejected: follower.stats().stale_epoch_rejected,
         heartbeats_missed: detector.total_missed(),
         acked_watermark: primary.acked(),
-        pruned_records: wal_pruned,
+        pruned_records: disk.pruned,
         max_lag: primary.max_lag(),
-        primary_storage_faults,
-        checkpoints_skipped,
-        prunes_skipped,
+        primary_storage_faults: disk.storage_faults,
+        checkpoints_skipped: disk.checkpoints_skipped,
+        prunes_skipped: disk.prunes_skipped,
     };
-
-    let (metrics, final_state) = if promoted {
-        engine_f.finish(replication.clone())
-    } else {
-        engine_p.finish(replication.clone())
-    };
+    metrics.replication = Some(replication.clone());
+    let survivor = if promoted { &ladder_f } else { &ladder_p };
     Ok(ReplicatedOutcome {
         metrics,
-        final_state,
+        final_state: core::learned_state(survivor),
         promoted,
         promoted_at,
         replication,
         follower_converged,
-        wal_pruned,
+        wal_pruned: disk.pruned,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resilient::run_chaos;
-    use crate::runner::RunConfig;
-    use durability::parse_v2_section;
-    use platform_sim::{
-        seeded_kill_schedule, FaultConfig, NetFaultConfig, ResilienceStats, SyntheticConfig,
-    };
+    use crate::testkit::{assert_bit_identical, chaos_plan, dataset, reference, scratch};
+    use durability::{parse_v2_section, StorageError};
+    use platform_sim::{seeded_kill_schedule, NetFaultConfig};
+    use std::sync::Mutex;
 
-    fn dataset(seed: u64) -> Dataset {
-        Dataset::synthetic(&SyntheticConfig {
-            num_brokers: 24,
-            num_requests: 480,
-            days: 3,
-            imbalance: 0.25,
-            seed,
-        })
-    }
+    /// The real filesystem, recording every path written whole.
+    #[derive(Debug, Default)]
+    struct Recording(Mutex<Vec<PathBuf>>);
 
-    fn chaos_plan(seed: u64) -> FaultPlan {
-        FaultPlan::new(FaultConfig::scenario("broker-dropout+lost-feedback", seed).unwrap())
+    impl Vfs for Recording {
+        fn read(&self, path: &Path) -> Result<Vec<u8>, StorageError> {
+            StdVfs.read(path)
+        }
+        fn write(&self, path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
+            self.0.lock().unwrap().push(path.to_path_buf());
+            StdVfs.write(path, bytes)
+        }
+        fn append(&self, path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
+            StdVfs.append(path, bytes)
+        }
+        fn fsync(&self, path: &Path) -> Result<(), StorageError> {
+            StdVfs.fsync(path)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> Result<(), StorageError> {
+            StdVfs.rename(from, to)
+        }
+        fn remove(&self, path: &Path) -> Result<(), StorageError> {
+            StdVfs.remove(path)
+        }
+        fn list(&self, dir: &Path) -> Result<Vec<PathBuf>, StorageError> {
+            StdVfs.list(dir)
+        }
+        fn truncate(&self, path: &Path, len: u64) -> Result<(), StorageError> {
+            StdVfs.truncate(path, len)
+        }
+        fn create_dir_all(&self, dir: &Path) -> Result<(), StorageError> {
+            StdVfs.create_dir_all(dir)
+        }
     }
 
     fn quiet_net(seed: u64) -> NetFaultPlan {
         NetFaultPlan::new(NetFaultConfig { seed, ..NetFaultConfig::default() })
-    }
-
-    fn scratch(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("caam-replication-tests").join(name);
-        std::fs::remove_dir_all(&dir).ok();
-        dir
-    }
-
-    fn reference(ds: &Dataset, plan: FaultPlan) -> (RunMetrics, String) {
-        let mut r =
-            ResilientAssigner::new(Lacb::new(LacbConfig::default()), ResilienceConfig::default());
-        let m = run_chaos(ds, &mut r, &RunConfig::default(), plan);
-        let mut state = String::new();
-        r.primary().write_state(&mut state);
-        (m, state)
-    }
-
-    fn assert_bit_identical(a: &RunMetrics, b: &RunMetrics) {
-        assert_eq!(a.total_utility.to_bits(), b.total_utility.to_bits());
-        assert_eq!(a.daily_utility.len(), b.daily_utility.len());
-        for (x, y) in a.daily_utility.iter().zip(&b.daily_utility) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        // requests_failed rides ResilienceStats; compare them whole.
-        let zero = ResilienceStats::default();
-        assert_eq!(a.resilience.as_ref().unwrap_or(&zero), b.resilience.as_ref().unwrap_or(&zero));
-        let (sa, sb) = (a.ledger.snapshot(), b.ledger.snapshot());
-        assert_eq!(sa.realized_utility, sb.realized_utility);
-        assert_eq!(sa.requests_served, sb.requests_served);
     }
 
     #[test]
@@ -975,11 +813,39 @@ mod tests {
             &ReplicationConfig::at(&dir),
         )
         .unwrap();
-        let store = CheckpointStore::open(&dir, 3).unwrap();
+        let store = CheckpointStore::open(&dir, CHECKPOINT_GENERATIONS).unwrap();
         let (_, newest) = store.generations()[0].clone();
         let text = store.read(&newest).unwrap();
         let section = parse_v2_section(&text, "epoch").unwrap();
         assert_eq!(section.trim(), "replication-epoch 0");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn torn_checkpoint_write_goes_through_the_vfs() {
+        let ds = dataset(239);
+        let plan = chaos_plan(157);
+        let dir = scratch("torn-through-vfs");
+        let vfs = Arc::new(Recording::default());
+        let mut repl = ReplicationConfig::at(&dir).with_vfs(vfs.clone());
+        repl.kill = Some(KillPoint::MidCheckpoint { day: 0 });
+        let out = run_replicated(
+            &ds,
+            LacbConfig::default(),
+            ResilienceConfig::default(),
+            plan,
+            quiet_net(7),
+            &repl,
+        )
+        .unwrap();
+        assert!(out.promoted, "a mid-checkpoint kill must promote the follower");
+        let torn = tmp_path(&dir.join("ckpt-000001.caam"));
+        assert!(
+            vfs.0.lock().unwrap().contains(&torn),
+            "the torn half-checkpoint bypassed the VFS: {torn:?}"
+        );
+        let store = CheckpointStore::open(&dir, CHECKPOINT_GENERATIONS).unwrap();
+        assert!(store.generations().is_empty(), "a torn tmp must never become a generation");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -19,8 +19,7 @@
 //!    whenever at least one broker is reachable.
 //!
 //! End-of-day feedback flows through a lossy channel model: delivery is
-//! retried with exponential backoff while the seeded fault schedule
-//! keeps failing it; feedback marked *delayed* is queued and merged into
+//! retried while the seeded fault schedule keeps failing it; feedback marked *delayed* is queued and merged into
 //! the next day's delivery; a day lost after all retries degrades to an
 //! empty [`DayFeedback`] so the learner's day counters still advance.
 //!
@@ -28,70 +27,32 @@
 //! surfaced through [`RunMetrics::resilience`] by [`run_chaos`].
 
 use crate::assigner::Assigner;
+use crate::core::{self, Engine};
 use crate::runner::RunConfig;
 use matching::greedy::greedy_assignment;
 use matching::hungarian::sanitize_utilities;
 use matching::UtilityMatrix;
 use platform_sim::{
-    AuditReport, BrokerLedger, Dataset, DayFeedback, FaultPlan, Platform, Request, ResilienceStats,
-    RunMetrics, StageTimings, StateFault,
+    AuditReport, Dataset, DayFeedback, FaultPlan, Platform, Request, ResilienceStats, RunMetrics,
+    StateFault,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
+/// Retries of a lost end-of-day feedback delivery before the day is
+/// declared lost. Retries do not sleep: the fault schedule decides each
+/// attempt, so waiting would only stall the serving loop.
+const MAX_FEEDBACK_RETRIES: usize = 4;
+
+/// How many top-utility brokers the patcher weighs by load.
+const PATCH_TOP_K: usize = 5;
+
 /// Knobs of the degradation ladder.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ResilienceConfig {
     /// Per-batch time budget for the primary algorithm; exceeding it
     /// falls back to greedy. `None` disables the deadline.
     pub batch_deadline: Option<Duration>,
-    /// Retries of a lost end-of-day feedback delivery before the day is
-    /// declared lost.
-    pub max_feedback_retries: usize,
-    /// Base of the exponential backoff between feedback retries
-    /// (`base · 2^attempt`). Zero — the default — skips the real sleep
-    /// so simulations and tests stay fast; the retry *count* is still
-    /// tracked.
-    pub backoff_base: Duration,
-    /// Ceiling on a single backoff sleep. Exponential growth stops
-    /// here, so a generous retry count cannot escalate into
-    /// multi-minute stalls.
-    pub backoff_cap: Duration,
-    /// Total sleep budget across all retries of one day's delivery.
-    /// Once exhausted, remaining retries proceed without sleeping (the
-    /// day is then lost or delivered on the fault schedule's terms, but
-    /// the serving loop never blocks past the deadline).
-    pub retry_deadline: Duration,
-    /// How many top-utility brokers the patcher weighs by load.
-    pub patch_top_k: usize,
-}
-
-impl Default for ResilienceConfig {
-    fn default() -> Self {
-        Self {
-            batch_deadline: None,
-            max_feedback_retries: 4,
-            backoff_base: Duration::ZERO,
-            backoff_cap: Duration::from_secs(5),
-            retry_deadline: Duration::from_secs(30),
-            patch_top_k: 5,
-        }
-    }
-}
-
-/// Sleep duration for the `attempt`-th retry (0-based): exponential in
-/// the attempt, saturating, clamped to `cap`, and truncated to what is
-/// left of `budget`. Pure so the bounds are unit-testable without
-/// sleeping.
-fn backoff_delay(base: Duration, cap: Duration, budget: Duration, attempt: usize) -> Duration {
-    if base.is_zero() || budget.is_zero() {
-        return Duration::ZERO;
-    }
-    // 2^10·base already exceeds any sane cap; saturating beyond that
-    // guards pathological configs rather than real schedules.
-    let exp = u32::try_from(attempt.min(10)).expect("capped at 10");
-    let raw = base.saturating_mul(1u32 << exp);
-    raw.min(cap).min(budget)
 }
 
 /// A fault-tolerant wrapper around any assignment policy. See the
@@ -202,7 +163,7 @@ impl<A: Assigner> ResilientAssigner<A> {
     }
 
     /// Ladder stage 3: route every still-unassigned request to the
-    /// least-loaded of its `patch_top_k` best online brokers. Repeats
+    /// least-loaded of its `PATCH_TOP_K` best online brokers. Repeats
     /// are allowed (recommendation semantics), so this always succeeds
     /// unless *every* broker is offline.
     fn patch_unassigned(
@@ -230,7 +191,7 @@ impl<A: Assigner> ResilientAssigner<A> {
                 continue;
             }
             ranked.sort_by(|&a, &b| m.get(r, b).total_cmp(&m.get(r, a)).then(a.cmp(&b)));
-            let top = &ranked[..ranked.len().min(self.cfg.patch_top_k.max(1))];
+            let top = &ranked[..ranked.len().min(PATCH_TOP_K)];
             let best = top
                 .iter()
                 .copied()
@@ -247,8 +208,8 @@ impl<A: Assigner> ResilientAssigner<A> {
     }
 
     /// Deliver end-of-day feedback through the lossy channel: merge any
-    /// queued delayed day, retry a lost delivery with exponential
-    /// backoff, and degrade to an empty feedback if the day stays lost.
+    /// queued delayed day, retry a lost delivery, and degrade to an empty
+    /// feedback if the day stays lost.
     fn channel_deliver(&mut self, plan: &FaultPlan, feedback: &DayFeedback) -> DayFeedback {
         let mut merged = self.pending_feedback.take().unwrap_or_default();
         if plan.feedback_delayed(self.day) {
@@ -257,14 +218,8 @@ impl<A: Assigner> ResilientAssigner<A> {
             return merged;
         }
         let mut attempt = 0usize;
-        let mut budget = self.cfg.retry_deadline;
         let mut delivered = !plan.feedback_lost(self.day, attempt);
-        while !delivered && attempt < self.cfg.max_feedback_retries {
-            let delay = backoff_delay(self.cfg.backoff_base, self.cfg.backoff_cap, budget, attempt);
-            if !delay.is_zero() {
-                std::thread::sleep(delay);
-                budget -= delay;
-            }
+        while !delivered && attempt < MAX_FEEDBACK_RETRIES {
             attempt += 1;
             self.stats.feedback_retries += 1;
             delivered = !plan.feedback_lost(self.day, attempt);
@@ -373,78 +328,9 @@ pub fn run_chaos(
     plan: FaultPlan,
 ) -> RunMetrics {
     let spiked = dataset.with_batch_spikes(&plan);
-    let mut platform = Platform::from_dataset(&spiked);
-    platform.enable_faults(plan);
-    let mut ledger = BrokerLedger::new(platform.num_brokers());
-    let mut elapsed = 0.0f64;
-    let mut daily_utility = Vec::new();
-    let mut daily_elapsed = Vec::new();
-    let mut timings = StageTimings::default();
-    let mut requests_failed = 0u64;
-
-    let days = match cfg.max_days {
-        Some(d) => d.min(spiked.days.len()),
-        None => spiked.days.len(),
-    };
-    for (d, day) in spiked.days.iter().take(days).enumerate() {
-        platform.begin_day();
-        let t0 = Instant::now();
-        assigner.begin_day(&platform, d);
-        let dt = t0.elapsed().as_secs_f64();
-        elapsed += dt;
-        timings.begin_day_secs.push(dt);
-        for (b, batch) in day.iter().enumerate() {
-            let t = Instant::now();
-            let assignment = assigner.assign_batch(&platform, &batch.requests);
-            let dt = t.elapsed().as_secs_f64();
-            elapsed += dt;
-            timings.assign_batch_secs.push(dt);
-            let outcome = platform.execute_batch(&batch.requests, &assignment);
-            requests_failed += outcome.failed.len() as u64;
-            ledger.record_batch(&outcome);
-            // Seeded state corruption and duplicated batch delivery land
-            // after execution — the assigner's own audits must catch and
-            // repair them before the next batch is matched.
-            if let Some(fault) = plan.state_fault(d, b, platform.num_brokers()) {
-                assigner.inject_state_fault(&fault);
-            }
-            if plan.batch_replayed(d, b) {
-                // The replayed batch re-enters the matcher (mutating its
-                // learned state twice); its output is discarded because
-                // the platform already executed the original delivery.
-                let _ = assigner.assign_batch(&platform, &batch.requests);
-            }
-            assigner.repair_quarantined_brokers();
-        }
-        let feedback = platform.end_day();
-        let t = Instant::now();
-        assigner.end_day(&platform, &feedback);
-        let dt = t.elapsed().as_secs_f64();
-        elapsed += dt;
-        timings.end_day_secs.push(dt);
-        // Deep-audit quarantines must not cross the day boundary.
-        assigner.repair_quarantined_brokers();
-        ledger.end_day(feedback.realized);
-        daily_utility.push(feedback.realized);
-        daily_elapsed.push(elapsed);
-    }
-
-    let mut stats = assigner.resilience_stats().unwrap_or_default();
-    stats.requests_failed = requests_failed;
-    RunMetrics {
-        algorithm: assigner.name(),
-        total_utility: ledger.total_realized(),
-        elapsed_secs: elapsed,
-        daily_utility,
-        daily_elapsed,
-        ledger,
-        resilience: Some(stats),
-        overload: None,
-        timings,
-        audit: assigner.take_audit_report(),
-        replication: None,
-        storage: None,
-    }
+    let mut engine = Engine::new(&spiked, core::platform(&spiked, plan), assigner);
+    engine.truncate(cfg.max_days);
+    engine.serve()
 }
 
 #[cfg(test)]
@@ -453,51 +339,6 @@ mod tests {
     use crate::lacb::{Lacb, LacbConfig};
     use crate::runner::run;
     use platform_sim::{FaultConfig, SyntheticConfig};
-
-    #[test]
-    fn backoff_grows_then_hits_the_cap() {
-        let base = Duration::from_millis(10);
-        let cap = Duration::from_millis(100);
-        let budget = Duration::from_secs(60);
-        assert_eq!(backoff_delay(base, cap, budget, 0), Duration::from_millis(10));
-        assert_eq!(backoff_delay(base, cap, budget, 1), Duration::from_millis(20));
-        assert_eq!(backoff_delay(base, cap, budget, 3), Duration::from_millis(80));
-        // From attempt 4 on, the cap wins — growth stops.
-        assert_eq!(backoff_delay(base, cap, budget, 4), cap);
-        assert_eq!(backoff_delay(base, cap, budget, 63), cap);
-        assert_eq!(backoff_delay(base, cap, budget, usize::MAX), cap);
-    }
-
-    #[test]
-    fn backoff_never_exceeds_the_remaining_budget() {
-        let base = Duration::from_millis(10);
-        let cap = Duration::from_secs(5);
-        let budget = Duration::from_millis(25);
-        assert_eq!(backoff_delay(base, cap, budget, 2), Duration::from_millis(25));
-        assert_eq!(backoff_delay(base, cap, Duration::ZERO, 2), Duration::ZERO);
-    }
-
-    #[test]
-    fn backoff_saturates_on_pathological_bases() {
-        // A huge base times 2^10 must saturate, not panic or wrap.
-        let d = backoff_delay(Duration::MAX, Duration::from_secs(1), Duration::from_secs(9), 40);
-        assert_eq!(d, Duration::from_secs(1));
-    }
-
-    #[test]
-    fn zero_base_disables_sleeping_entirely() {
-        for attempt in 0..20 {
-            assert_eq!(
-                backoff_delay(
-                    Duration::ZERO,
-                    Duration::from_secs(5),
-                    Duration::from_secs(30),
-                    attempt
-                ),
-                Duration::ZERO
-            );
-        }
-    }
 
     fn dataset(seed: u64) -> Dataset {
         Dataset::synthetic(&SyntheticConfig {
@@ -607,7 +448,7 @@ mod tests {
     #[test]
     fn deadline_zero_forces_greedy_every_batch() {
         let ds = dataset(99);
-        let cfg = ResilienceConfig { batch_deadline: Some(Duration::ZERO), ..Default::default() };
+        let cfg = ResilienceConfig { batch_deadline: Some(Duration::ZERO) };
         let mut r = ResilientAssigner::new(Lacb::new(LacbConfig::default()), cfg);
         let plan = FaultPlan::new(FaultConfig::scenario("none", 1).unwrap());
         let m = run_chaos(&ds, &mut r, &RunConfig::default(), plan);

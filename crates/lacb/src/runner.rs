@@ -2,8 +2,8 @@
 //! collects the metrics the paper's figures report.
 
 use crate::assigner::Assigner;
-use platform_sim::{BrokerLedger, Dataset, Platform, RunMetrics, StageTimings};
-use std::time::Instant;
+use crate::core::Engine;
+use platform_sim::{Dataset, Platform, RunMetrics};
 
 /// Runner options.
 #[derive(Clone, Debug, Default)]
@@ -18,79 +18,9 @@ pub struct RunConfig {
 /// `assign_batch`, `end_day`) — simulator bookkeeping is excluded, so the
 /// reported seconds correspond to the paper's "running time" axis.
 pub fn run(dataset: &Dataset, assigner: &mut dyn Assigner, cfg: &RunConfig) -> RunMetrics {
-    let mut platform = Platform::from_dataset(dataset);
-    let mut ledger = BrokerLedger::new(platform.num_brokers());
-    let mut elapsed = 0.0f64;
-    let mut daily_utility = Vec::new();
-    let mut daily_elapsed = Vec::new();
-    let mut timings = StageTimings::default();
-    let pool_before = pool::stats();
-
-    let days = match cfg.max_days {
-        Some(d) => d.min(dataset.days.len()),
-        None => dataset.days.len(),
-    };
-
-    for (d, day) in dataset.days.iter().take(days).enumerate() {
-        platform.begin_day();
-        let t0 = Instant::now();
-        assigner.begin_day(&platform, d);
-        let dt = t0.elapsed().as_secs_f64();
-        elapsed += dt;
-        timings.begin_day_secs.push(dt);
-
-        for batch in day {
-            let t = Instant::now();
-            let assignment = assigner.assign_batch(&platform, &batch.requests);
-            let dt = t.elapsed().as_secs_f64();
-            elapsed += dt;
-            timings.assign_batch_secs.push(dt);
-            let outcome = platform.execute_batch(&batch.requests, &assignment);
-            ledger.record_batch(&outcome);
-        }
-
-        let feedback = platform.end_day();
-        let t = Instant::now();
-        assigner.end_day(&platform, &feedback);
-        let dt = t.elapsed().as_secs_f64();
-        elapsed += dt;
-        timings.end_day_secs.push(dt);
-
-        // Self-auditing policies may have quarantined broker state; on
-        // the fault-free path there is no checkpoint store, so repair is
-        // re-initialization. A healthy run makes this a no-op.
-        assigner.repair_quarantined_brokers();
-        ledger.end_day(feedback.realized);
-        daily_utility.push(feedback.realized);
-        daily_elapsed.push(elapsed);
-    }
-
-    if let Some(b) = assigner.take_stage_breakdown() {
-        timings.breakdown.absorb(&b);
-    }
-    // Attribute this run's pool activity (rounds dispatched, wake/park
-    // bookkeeping time) via counter deltas. Other threads sharing the
-    // pool would bleed into the delta, but experiment runs are
-    // single-coordinator so in practice it is exact.
-    let ps = pool::stats();
-    timings.breakdown.pool_sync_secs += (ps.sync_nanos - pool_before.sync_nanos) as f64 * 1e-9;
-    timings.breakdown.parallel_rounds += ps.parallel_rounds - pool_before.parallel_rounds;
-    timings.breakdown.inline_rounds += ps.inline_rounds - pool_before.inline_rounds;
-
-    RunMetrics {
-        algorithm: assigner.name(),
-        total_utility: ledger.total_realized(),
-        elapsed_secs: elapsed,
-        daily_utility,
-        daily_elapsed,
-        ledger,
-        resilience: None,
-        overload: None,
-        timings,
-        audit: assigner.take_audit_report(),
-        replication: None,
-        storage: None,
-    }
+    let mut engine = Engine::new(dataset, Platform::from_dataset(dataset), assigner);
+    engine.truncate(cfg.max_days);
+    engine.serve()
 }
 
 #[cfg(test)]

@@ -29,7 +29,8 @@
 //! write), leaving on disk exactly what a power cut would.
 
 use crate::assigner::Assigner;
-use crate::checkpoint::{Checkpoint, CheckpointError, RunProgress};
+use crate::checkpoint::{Checkpoint, CheckpointError, RunProgress, CHECKPOINT_GENERATIONS};
+use crate::core::{self, Engine, Logged, Sink, Unit};
 use crate::lacb::{Lacb, LacbConfig};
 use crate::overload::{OverloadConfig, OverloadState};
 use crate::resilient::{ResilienceConfig, ResilientAssigner};
@@ -40,13 +41,12 @@ use durability::{
 };
 use platform_sim::{
     BrokerLedger, CrashPoint, Dataset, FaultPlan, Platform, ResilienceStats, RunMetrics,
-    StageTimings, StorageMode,
+    StorageMode,
 };
 use std::collections::VecDeque;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// File name of the serving WAL inside the durable directory.
 pub const WAL_FILE: &str = "serving.wal";
@@ -56,8 +56,6 @@ pub const WAL_FILE: &str = "serving.wal";
 pub struct DurableConfig {
     /// Directory holding the WAL and checkpoint generations.
     pub dir: PathBuf,
-    /// Checkpoint generations to retain.
-    pub keep: usize,
     /// Seeded crash point to inject (recovery harness only).
     pub crash: Option<CrashPoint>,
     /// Filesystem all durability I/O goes through. [`StdVfs`] in
@@ -73,16 +71,10 @@ pub struct DurableConfig {
 }
 
 impl DurableConfig {
-    /// A durable run rooted at `dir` with default retention, no
-    /// injected crash, the real filesystem, and storage faults fatal.
+    /// A durable run rooted at `dir` with no injected crash, the real
+    /// filesystem, and storage faults fatal.
     pub fn at(dir: &Path) -> Self {
-        DurableConfig {
-            dir: dir.to_path_buf(),
-            keep: 3,
-            crash: None,
-            vfs: Arc::new(StdVfs),
-            storage: None,
-        }
+        DurableConfig { dir: dir.to_path_buf(), crash: None, vfs: Arc::new(StdVfs), storage: None }
     }
 
     /// Route all durability I/O through `vfs`.
@@ -258,13 +250,6 @@ fn repair_via_store(
     }
 }
 
-/// Did an append land on disk or in the degraded replay buffer?
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Logged {
-    Disk,
-    Buffered,
-}
-
 /// The durable loop's view of its storage: the checkpoint store, the
 /// WAL, and (when [`DurableConfig::storage`] is set) the degraded-mode
 /// [`StorageGuard`] that absorbs their failures.
@@ -280,7 +265,6 @@ enum Logged {
 struct DiskState {
     vfs: Arc<dyn Vfs>,
     dir: PathBuf,
-    keep: usize,
     wal_path: PathBuf,
     store: Option<CheckpointStore>,
     wal: Option<Wal>,
@@ -294,16 +278,17 @@ impl DiskState {
     /// WAL records are kept for replay even when the handles degrade.
     fn open(dcfg: &DurableConfig) -> Result<(Self, Vec<WalRecord>, WalRecovery), RecoveryError> {
         let mut guard = dcfg.storage.map(StorageGuard::new);
-        let store = match CheckpointStore::open_with(dcfg.vfs.clone(), &dcfg.dir, dcfg.keep) {
-            Ok(s) => Some(s),
-            Err(e) => match guard.as_mut() {
-                Some(g) => {
-                    g.storage_fault(FaultSite::Startup, &e.to_string());
-                    None
-                }
-                None => return Err(e.into()),
-            },
-        };
+        let store =
+            match CheckpointStore::open_with(dcfg.vfs.clone(), &dcfg.dir, CHECKPOINT_GENERATIONS) {
+                Ok(s) => Some(s),
+                Err(e) => match guard.as_mut() {
+                    Some(g) => {
+                        g.storage_fault(FaultSite::Startup, &e.to_string());
+                        None
+                    }
+                    None => return Err(e.into()),
+                },
+            };
         let (wal, records, recovery) = match Wal::recover_with(dcfg.vfs.clone(), &dcfg.wal_path()) {
             Ok((w, records, recovery)) => (Some(w), records, recovery),
             Err(e) => match guard.as_mut() {
@@ -322,7 +307,6 @@ impl DiskState {
             DiskState {
                 vfs: dcfg.vfs.clone(),
                 dir: dcfg.dir.clone(),
-                keep: dcfg.keep,
                 wal_path: dcfg.wal_path(),
                 store,
                 wal,
@@ -423,7 +407,7 @@ impl DiskState {
     /// checkpoint's boundary.
     fn try_resync(&mut self, boundary: usize, text: &str, write_crash: Option<WriteCrash>) {
         if self.store.is_none() {
-            match CheckpointStore::open_with(self.vfs.clone(), &self.dir, self.keep) {
+            match CheckpointStore::open_with(self.vfs.clone(), &self.dir, CHECKPOINT_GENERATIONS) {
                 Ok(s) => self.store = Some(s),
                 Err(e) => {
                     self.guard
@@ -471,6 +455,189 @@ impl DiskState {
     }
 }
 
+/// The position of a record in the run: its kind, day and batch.
+fn unit_of(rec: &WalRecord) -> (std::mem::Discriminant<WalRecord>, usize, Option<usize>) {
+    let batch = match rec {
+        WalRecord::Admission { batch, .. } | WalRecord::Batch { batch, .. } => Some(*batch),
+        _ => None,
+    };
+    (std::mem::discriminant(rec), rec.day(), batch)
+}
+
+/// The durable path's sink: WAL-before-apply for live units,
+/// recompute-and-verify for the units the replay tail still covers.
+struct WalSink {
+    disk: DiskState,
+    /// Logged records at or after the restored boundary, not yet replayed.
+    tail: VecDeque<WalRecord>,
+    crash: Option<CrashPoint>,
+    /// Whether the last committed record came from the replay tail.
+    replaying: bool,
+    replayed_batches: usize,
+    /// The batch whose storage-guard tick has been taken.
+    ticked: Option<(usize, usize)>,
+    donor_cfg: LacbConfig,
+    num_brokers: usize,
+}
+
+impl Sink<ResilientAssigner<Lacb>> for WalSink {
+    type Error = RecoveryError;
+
+    fn commit(&mut self, rec: &WalRecord) -> Result<Option<Logged>, RecoveryError> {
+        let (_, day, batch) = unit_of(rec);
+        // The storage guard's clock advances once per batch.
+        if let Some(b) = batch.filter(|&b| self.ticked != Some((day, b))) {
+            self.disk.tick();
+            self.ticked = Some((day, b));
+        }
+        self.replaying = self.tail.front().is_some_and(|logged| unit_of(logged) == unit_of(rec));
+        if self.replaying {
+            let logged = self.tail.pop_front().expect("front just matched");
+            if logged != *rec {
+                let detail = format!("logged {logged:?} recomputed {rec:?}");
+                return Err(RecoveryError::Divergence { day, batch, detail });
+            }
+            if matches!(rec, WalRecord::Batch { .. }) {
+                self.replayed_batches += 1;
+            }
+            return Ok(None);
+        }
+        if let (WalRecord::Batch { .. }, Some(CrashPoint::DuringWalAppend { day: d, batch: b })) =
+            (rec, self.crash)
+        {
+            // A degraded run holds no WAL: the torn-append crash window
+            // simply does not exist then.
+            if (d, Some(b)) == (day, batch) {
+                if let Some(w) = self.disk.wal.as_mut() {
+                    w.append_torn(rec);
+                }
+            }
+        }
+        let logged = self.disk.append(rec)?;
+        if let (
+            WalRecord::Admission { .. },
+            Some(CrashPoint::AfterAdmission { day: d, batch: b }),
+        ) = (rec, self.crash)
+        {
+            if (d, Some(b)) == (day, batch) {
+                panic!("injected crash: after admission of batch {b} day {d}");
+            }
+        }
+        Ok(Some(logged))
+    }
+
+    fn applied(&mut self, day: usize, batch: usize) {
+        if !self.replaying && self.crash == Some(CrashPoint::AfterBatch { day, batch }) {
+            panic!("injected crash: after batch {batch} of day {day}");
+        }
+    }
+
+    /// Per-broker restore from the newest good generation.
+    fn repair(&mut self, assigner: &mut ResilientAssigner<Lacb>, day: usize) {
+        let store = self.disk.store.as_ref();
+        repair_via_store(assigner, store, &self.donor_cfg, self.num_brokers, day);
+    }
+}
+
+/// The durable path behind [`run_durable`] and [`run_overload_durable`]:
+/// open the disk, restore the last good checkpoint, then step the core
+/// through the WAL sink, cutting a checkpoint at every day boundary.
+fn serve_durable(
+    dataset: &Dataset,
+    cfg: LacbConfig,
+    rcfg: ResilienceConfig,
+    ocfg: Option<&OverloadConfig>,
+    plan: FaultPlan,
+    dcfg: &DurableConfig,
+) -> Result<DurableOutcome, RecoveryError> {
+    let spiked = dataset.with_batch_spikes(&plan);
+    let mut platform = core::platform(&spiked, plan);
+    let num_brokers = platform.num_brokers();
+
+    let (disk, records, wal_recovery) = DiskState::open(dcfg)?;
+    let (restored, generations_skipped) =
+        restore_last_good(disk.store.as_ref(), &cfg, &mut platform);
+    let recovered_from = restored.as_ref().map(|(day, _)| *day);
+    let (matcher, ledger, progress, pending, stats, snapshot) = match restored {
+        Some((_, r)) => (r.matcher, r.ledger, r.progress, r.pending_feedback, r.stats, r.overload),
+        None => (
+            Lacb::new(cfg.clone()),
+            BrokerLedger::new(num_brokers),
+            RunProgress::default(),
+            None,
+            ResilienceStats::default(),
+            None,
+        ),
+    };
+    let mut assigner = ResilientAssigner::new(matcher, rcfg);
+    assigner.restore_channel(pending, stats);
+
+    // The replay tail: records at or after the restored boundary.
+    // Checkpoint marks are bookkeeping, not state, so they are dropped.
+    let tail: VecDeque<WalRecord> = records
+        .into_iter()
+        .filter(|r| !matches!(r, WalRecord::Checkpoint { .. }) && r.day() >= progress.next_day)
+        .collect();
+    if let Some(r) = tail.iter().find(|r| r.day() >= spiked.days.len()) {
+        return Err(RecoveryError::Horizon(format!(
+            "WAL record for day {} but horizon has {} days",
+            r.day(),
+            spiked.days.len()
+        )));
+    }
+    let mut sink = WalSink {
+        disk,
+        tail,
+        crash: dcfg.crash,
+        replaying: false,
+        replayed_batches: 0,
+        ticked: None,
+        donor_cfg: cfg,
+        num_brokers,
+    };
+    let mut engine = Engine::new(&spiked, platform, &mut assigner);
+    engine.ledger = ledger;
+    engine.progress = progress;
+    engine.overload = ocfg.map(|ocfg| match &snapshot {
+        Some(snap) => OverloadState::from_snapshot(ocfg.clone(), snap),
+        None => OverloadState::new(ocfg.clone()),
+    });
+
+    loop {
+        let d = match engine.step(&mut sink)? {
+            Unit::Done => break,
+            Unit::DayEnd(d) => d,
+            _ => continue,
+        };
+        if dcfg.crash == Some(CrashPoint::BeforeCheckpoint { day: d }) {
+            panic!("injected crash: before checkpoint of day {d}");
+        }
+        let write_crash = match dcfg.crash {
+            Some(CrashPoint::DuringCheckpointWrite { day }) if day == d => {
+                Some(WriteCrash::MidWrite)
+            }
+            Some(CrashPoint::BeforeCheckpointRename { day }) if day == d => {
+                Some(WriteCrash::BeforeRename)
+            }
+            _ => None,
+        };
+        let text = engine.checkpoint().to_v2_text();
+        let logged = sink.disk.checkpoint(d + 1, &text, write_crash)?;
+        core::observe_wal(engine.overload.as_mut(), logged);
+    }
+
+    let mut metrics = engine.finish();
+    metrics.storage = sink.disk.finish();
+    Ok(DurableOutcome {
+        metrics,
+        final_state: core::learned_state(&assigner),
+        recovered_from,
+        generations_skipped,
+        replayed_batches: sink.replayed_batches,
+        wal_recovery,
+    })
+}
+
 /// Run (or recover and finish) a durable resilient LACB run over the
 /// whole horizon. Idempotent: killed at any point — including the
 /// crash points [`DurableConfig::crash`] can inject — calling it again
@@ -482,222 +649,7 @@ pub fn run_durable(
     plan: FaultPlan,
     dcfg: &DurableConfig,
 ) -> Result<DurableOutcome, RecoveryError> {
-    let spiked = dataset.with_batch_spikes(&plan);
-    let mut platform = Platform::from_dataset(&spiked);
-    platform.enable_faults(plan);
-
-    let (mut disk, records, wal_recovery) = DiskState::open(dcfg)?;
-
-    let (restored, generations_skipped) =
-        restore_last_good(disk.store.as_ref(), &cfg, &mut platform);
-    let donor_cfg = cfg.clone();
-    let (recovered_from, matcher, mut ledger, mut progress, pending, stats) = match restored {
-        Some((day, r)) => (Some(day), r.matcher, r.ledger, r.progress, r.pending_feedback, r.stats),
-        None => (
-            None,
-            Lacb::new(cfg),
-            BrokerLedger::new(platform.num_brokers()),
-            RunProgress::default(),
-            None,
-            ResilienceStats::default(),
-        ),
-    };
-    let mut assigner = ResilientAssigner::new(matcher, rcfg);
-    assigner.restore_channel(pending, stats);
-
-    // The replay tail: records at or after the restored boundary.
-    // Checkpoint marks are bookkeeping, not state, so they are dropped.
-    let mut tail: VecDeque<WalRecord> = records
-        .into_iter()
-        .filter(|r| !matches!(r, WalRecord::Checkpoint { .. }) && r.day() >= progress.next_day)
-        .collect();
-    for r in &tail {
-        if r.day() >= spiked.days.len() {
-            return Err(RecoveryError::Horizon(format!(
-                "WAL record for day {} but horizon has {} days",
-                r.day(),
-                spiked.days.len()
-            )));
-        }
-    }
-    let mut replayed_batches = 0usize;
-
-    for (d, day) in spiked.days.iter().enumerate().skip(progress.next_day) {
-        platform.begin_day();
-        let t0 = Instant::now();
-        assigner.begin_day(&platform, d);
-        progress.elapsed_secs += t0.elapsed().as_secs_f64();
-        if matches!(tail.front(), Some(WalRecord::DayStart { day }) if *day == d) {
-            tail.pop_front();
-        } else {
-            disk.append(&WalRecord::DayStart { day: d })?;
-        }
-        for (b, batch) in day.iter().enumerate() {
-            disk.tick();
-            let t = Instant::now();
-            let assignment = assigner.assign_batch(&platform, &batch.requests);
-            progress.elapsed_secs += t.elapsed().as_secs_f64();
-            let rec = WalRecord::Batch {
-                day: d,
-                batch: b,
-                draws: platform.appeal_draws(),
-                assignment: assignment.clone(),
-            };
-            let replaying = matches!(
-                tail.front(),
-                Some(WalRecord::Batch { day, batch, .. }) if *day == d && *batch == b
-            );
-            if replaying {
-                let logged = tail.pop_front().expect("front just matched");
-                if logged != rec {
-                    return Err(RecoveryError::Divergence {
-                        day: d,
-                        batch: Some(b),
-                        detail: format!("logged {logged:?} recomputed {rec:?}"),
-                    });
-                }
-                replayed_batches += 1;
-            } else {
-                if dcfg.crash == Some(CrashPoint::DuringWalAppend { day: d, batch: b }) {
-                    // A degraded run holds no WAL: the torn-append crash
-                    // window simply does not exist then.
-                    if let Some(w) = disk.wal.as_mut() {
-                        w.append_torn(&rec);
-                    }
-                }
-                disk.append(&rec)?;
-            }
-            let outcome = platform.execute_batch(&batch.requests, &assignment);
-            progress.requests_failed += outcome.failed.len() as u64;
-            ledger.record_batch(&outcome);
-            if !replaying && dcfg.crash == Some(CrashPoint::AfterBatch { day: d, batch: b }) {
-                panic!("injected crash: after batch {b} of day {d}");
-            }
-            // State corruption and duplicated delivery land after the
-            // batch is logged and executed (same placement as
-            // `run_chaos`, and after the crash point so recovery replay
-            // applies each fault exactly once). Repair immediately:
-            // per-broker restore from the newest good generation.
-            if let Some(fault) = plan.state_fault(d, b, platform.num_brokers()) {
-                assigner.inject_state_fault(&fault);
-            }
-            if plan.batch_replayed(d, b) {
-                let _ = assigner.assign_batch(&platform, &batch.requests);
-            }
-            repair_via_store(
-                &mut assigner,
-                disk.store.as_ref(),
-                &donor_cfg,
-                platform.num_brokers(),
-                d,
-            );
-        }
-        let feedback = platform.end_day();
-        let rec = WalRecord::DayEnd {
-            day: d,
-            realized_bits: feedback.realized.to_bits(),
-            trials: feedback.trials.len(),
-            draws: platform.appeal_draws(),
-        };
-        match tail.front() {
-            Some(WalRecord::DayEnd { day, .. }) if *day == d => {
-                let logged = tail.pop_front().expect("front just matched");
-                if logged != rec {
-                    return Err(RecoveryError::Divergence {
-                        day: d,
-                        batch: None,
-                        detail: format!("logged {logged:?} recomputed {rec:?}"),
-                    });
-                }
-            }
-            _ => {
-                disk.append(&rec)?;
-            }
-        }
-        let t = Instant::now();
-        assigner.end_day(&platform, &feedback);
-        progress.elapsed_secs += t.elapsed().as_secs_f64();
-        // Deep-audit quarantines must be repaired before the day's
-        // checkpoint is captured, so checkpoints stay quarantine-free.
-        repair_via_store(&mut assigner, disk.store.as_ref(), &donor_cfg, platform.num_brokers(), d);
-        ledger.end_day(feedback.realized);
-        progress.daily_utility.push(feedback.realized);
-        progress.daily_elapsed.push(progress.elapsed_secs);
-        progress.next_day = d + 1;
-
-        if dcfg.crash == Some(CrashPoint::BeforeCheckpoint { day: d }) {
-            panic!("injected crash: before checkpoint of day {d}");
-        }
-        let ckpt = Checkpoint::capture(
-            assigner.primary(),
-            &platform,
-            &ledger,
-            &progress,
-            assigner.pending_feedback(),
-            assigner.stats(),
-        );
-        let write_crash = match dcfg.crash {
-            Some(CrashPoint::DuringCheckpointWrite { day }) if day == d => {
-                Some(WriteCrash::MidWrite)
-            }
-            Some(CrashPoint::BeforeCheckpointRename { day }) if day == d => {
-                Some(WriteCrash::BeforeRename)
-            }
-            _ => None,
-        };
-        disk.checkpoint(d + 1, &ckpt.to_v2_text(), write_crash)?;
-    }
-
-    let mut stats = assigner.resilience_stats().unwrap_or_default();
-    stats.requests_failed = progress.requests_failed;
-    let mut final_state = String::new();
-    assigner.primary().write_state(&mut final_state);
-    Ok(DurableOutcome {
-        metrics: RunMetrics {
-            algorithm: assigner.name(),
-            total_utility: ledger.total_realized(),
-            elapsed_secs: progress.elapsed_secs,
-            daily_utility: progress.daily_utility,
-            daily_elapsed: progress.daily_elapsed,
-            ledger,
-            resilience: Some(stats),
-            overload: None,
-            timings: StageTimings::default(),
-            audit: assigner.take_audit_report(),
-            replication: None,
-            storage: disk.finish(),
-        },
-        final_state,
-        recovered_from,
-        generations_skipped,
-        replayed_batches,
-        wal_recovery,
-    })
-}
-
-/// Append a WAL record while feeding the WAL circuit breaker: an
-/// append that landed on disk is a success signal; one that fell into
-/// the degraded replay buffer — or failed outright on the legacy path,
-/// observed *before* the error propagates — is a failure signal.
-fn append_tracked(
-    disk: &mut DiskState,
-    ov: &mut OverloadState,
-    rec: &WalRecord,
-) -> Result<(), RecoveryError> {
-    match disk.append(rec) {
-        Ok(Logged::Disk) => {
-            ov.observe_wal(true);
-            Ok(())
-        }
-        Ok(Logged::Buffered) => {
-            ov.observe_wal(false);
-            Ok(())
-        }
-        Err(e) => {
-            ov.observe_wal(false);
-            Err(e)
-        }
-    }
+    serve_durable(dataset, cfg, rcfg, None, plan, dcfg)
 }
 
 /// Run (or recover and finish) an *overload-protected* durable run:
@@ -725,293 +677,14 @@ pub fn run_overload_durable(
     plan: FaultPlan,
     dcfg: &DurableConfig,
 ) -> Result<DurableOutcome, RecoveryError> {
-    let spiked = dataset.with_batch_spikes(&plan);
-    let mut platform = Platform::from_dataset(&spiked);
-    platform.enable_faults(plan);
-
-    let (mut disk, records, wal_recovery) = DiskState::open(dcfg)?;
-
-    let (restored, generations_skipped) =
-        restore_last_good(disk.store.as_ref(), &cfg, &mut platform);
-    let donor_cfg = cfg.clone();
-    let (recovered_from, matcher, mut ledger, mut progress, pending, stats, mut ov) = match restored
-    {
-        Some((day, r)) => {
-            let ov = match &r.overload {
-                Some(snap) => OverloadState::from_snapshot(ocfg.clone(), snap),
-                None => OverloadState::new(ocfg.clone()),
-            };
-            (Some(day), r.matcher, r.ledger, r.progress, r.pending_feedback, r.stats, ov)
-        }
-        None => (
-            None,
-            Lacb::new(cfg),
-            BrokerLedger::new(platform.num_brokers()),
-            RunProgress::default(),
-            None,
-            ResilienceStats::default(),
-            OverloadState::new(ocfg.clone()),
-        ),
-    };
-    let mut assigner = ResilientAssigner::new(matcher, rcfg);
-    assigner.restore_channel(pending, stats);
-
-    let mut tail: VecDeque<WalRecord> = records
-        .into_iter()
-        .filter(|r| !matches!(r, WalRecord::Checkpoint { .. }) && r.day() >= progress.next_day)
-        .collect();
-    for r in &tail {
-        if r.day() >= spiked.days.len() {
-            return Err(RecoveryError::Horizon(format!(
-                "WAL record for day {} but horizon has {} days",
-                r.day(),
-                spiked.days.len()
-            )));
-        }
-    }
-    let mut replayed_batches = 0usize;
-
-    for (d, day) in spiked.days.iter().enumerate().skip(progress.next_day) {
-        platform.begin_day();
-        let t0 = Instant::now();
-        assigner.begin_day(&platform, d);
-        progress.elapsed_secs += t0.elapsed().as_secs_f64();
-        if matches!(tail.front(), Some(WalRecord::DayStart { day }) if *day == d) {
-            tail.pop_front();
-        } else {
-            append_tracked(&mut disk, &mut ov, &WalRecord::DayStart { day: d })?;
-        }
-        for (b, batch) in day.iter().enumerate() {
-            disk.tick();
-            let t = Instant::now();
-            let admitted = ov.admit(assigner.primary_mut(), &platform, &batch.requests);
-            let adm_rec = WalRecord::Admission {
-                day: d,
-                batch: b,
-                admitted: admitted.iter().map(|r| r.id).collect(),
-            };
-            let replaying_admission = matches!(
-                tail.front(),
-                Some(WalRecord::Admission { day, batch, .. }) if *day == d && *batch == b
-            );
-            if replaying_admission {
-                let logged = tail.pop_front().expect("front just matched");
-                if logged != adm_rec {
-                    return Err(RecoveryError::Divergence {
-                        day: d,
-                        batch: Some(b),
-                        detail: format!("admission logged {logged:?} recomputed {adm_rec:?}"),
-                    });
-                }
-            } else {
-                append_tracked(&mut disk, &mut ov, &adm_rec)?;
-                if dcfg.crash == Some(CrashPoint::AfterAdmission { day: d, batch: b }) {
-                    panic!("injected crash: after admission of batch {b} day {d}");
-                }
-            }
-            ov.plan_quality(assigner.primary_mut());
-            progress.elapsed_secs += t.elapsed().as_secs_f64();
-            if !admitted.is_empty() {
-                let t = Instant::now();
-                let before = assigner.stats().primary_panics
-                    + assigner.stats().primary_timeouts
-                    + assigner.stats().invalid_primary_outputs;
-                let assignment = assigner.assign_batch(&platform, &admitted);
-                let after = assigner.stats().primary_panics
-                    + assigner.stats().primary_timeouts
-                    + assigner.stats().invalid_primary_outputs;
-                ov.observe_solve(assigner.primary(), after > before);
-                progress.elapsed_secs += t.elapsed().as_secs_f64();
-                let rec = WalRecord::Batch {
-                    day: d,
-                    batch: b,
-                    draws: platform.appeal_draws(),
-                    assignment: assignment.clone(),
-                };
-                let replaying = matches!(
-                    tail.front(),
-                    Some(WalRecord::Batch { day, batch, .. }) if *day == d && *batch == b
-                );
-                if replaying {
-                    let logged = tail.pop_front().expect("front just matched");
-                    if logged != rec {
-                        return Err(RecoveryError::Divergence {
-                            day: d,
-                            batch: Some(b),
-                            detail: format!("logged {logged:?} recomputed {rec:?}"),
-                        });
-                    }
-                    replayed_batches += 1;
-                } else {
-                    if dcfg.crash == Some(CrashPoint::DuringWalAppend { day: d, batch: b }) {
-                        if let Some(w) = disk.wal.as_mut() {
-                            w.append_torn(&rec);
-                        }
-                    }
-                    append_tracked(&mut disk, &mut ov, &rec)?;
-                }
-                let outcome = platform.execute_batch(&admitted, &assignment);
-                progress.requests_failed += outcome.failed.len() as u64;
-                ov.record_served(&outcome);
-                ledger.record_batch(&outcome);
-                if !replaying && dcfg.crash == Some(CrashPoint::AfterBatch { day: d, batch: b }) {
-                    panic!("injected crash: after batch {b} of day {d}");
-                }
-            }
-            // Same per-batch fault and repair placement as
-            // `run_overload` — state corruption lands even on ticks
-            // where admission drained nothing.
-            if let Some(fault) = plan.state_fault(d, b, platform.num_brokers()) {
-                assigner.inject_state_fault(&fault);
-            }
-            if plan.batch_replayed(d, b) && !admitted.is_empty() {
-                let _ = assigner.assign_batch(&platform, &admitted);
-            }
-            repair_via_store(
-                &mut assigner,
-                disk.store.as_ref(),
-                &donor_cfg,
-                platform.num_brokers(),
-                d,
-            );
-        }
-        let feedback = platform.end_day();
-        let rec = WalRecord::DayEnd {
-            day: d,
-            realized_bits: feedback.realized.to_bits(),
-            trials: feedback.trials.len(),
-            draws: platform.appeal_draws(),
-        };
-        match tail.front() {
-            Some(WalRecord::DayEnd { day, .. }) if *day == d => {
-                let logged = tail.pop_front().expect("front just matched");
-                if logged != rec {
-                    return Err(RecoveryError::Divergence {
-                        day: d,
-                        batch: None,
-                        detail: format!("logged {logged:?} recomputed {rec:?}"),
-                    });
-                }
-            }
-            _ => append_tracked(&mut disk, &mut ov, &rec)?,
-        }
-        let t = Instant::now();
-        let fb_before = assigner.stats().feedback_retries + assigner.stats().feedback_lost_days;
-        assigner.end_day(&platform, &feedback);
-        let fb_after = assigner.stats().feedback_retries + assigner.stats().feedback_lost_days;
-        ov.observe_feedback(fb_after > fb_before);
-        ov.end_day();
-        progress.elapsed_secs += t.elapsed().as_secs_f64();
-        // Repair deep-audit quarantines before the checkpoint capture.
-        repair_via_store(&mut assigner, disk.store.as_ref(), &donor_cfg, platform.num_brokers(), d);
-        ledger.end_day(feedback.realized);
-        progress.daily_utility.push(feedback.realized);
-        progress.daily_elapsed.push(progress.elapsed_secs);
-        progress.next_day = d + 1;
-
-        if dcfg.crash == Some(CrashPoint::BeforeCheckpoint { day: d }) {
-            panic!("injected crash: before checkpoint of day {d}");
-        }
-        let ov_snap = ov.snapshot();
-        let ckpt = Checkpoint::capture_with_overload(
-            assigner.primary(),
-            &platform,
-            &ledger,
-            &progress,
-            assigner.pending_feedback(),
-            assigner.stats(),
-            Some(&ov_snap),
-        );
-        let write_crash = match dcfg.crash {
-            Some(CrashPoint::DuringCheckpointWrite { day }) if day == d => {
-                Some(WriteCrash::MidWrite)
-            }
-            Some(CrashPoint::BeforeCheckpointRename { day }) if day == d => {
-                Some(WriteCrash::BeforeRename)
-            }
-            _ => None,
-        };
-        match disk.checkpoint(d + 1, &ckpt.to_v2_text(), write_crash)? {
-            Some(Logged::Disk) => ov.observe_wal(true),
-            Some(Logged::Buffered) => ov.observe_wal(false),
-            None => {}
-        }
-    }
-
-    let mut stats = assigner.resilience_stats().unwrap_or_default();
-    stats.requests_failed = progress.requests_failed;
-    let mut final_state = String::new();
-    assigner.primary().write_state(&mut final_state);
-    Ok(DurableOutcome {
-        metrics: RunMetrics {
-            algorithm: format!("Overload({})", assigner.name()),
-            total_utility: ledger.total_realized(),
-            elapsed_secs: progress.elapsed_secs,
-            daily_utility: progress.daily_utility,
-            daily_elapsed: progress.daily_elapsed,
-            ledger,
-            resilience: Some(stats),
-            overload: Some(ov.stats().clone()),
-            timings: StageTimings::default(),
-            audit: assigner.take_audit_report(),
-            replication: None,
-            storage: disk.finish(),
-        },
-        final_state,
-        recovered_from,
-        generations_skipped,
-        replayed_batches,
-        wal_recovery,
-    })
+    serve_durable(dataset, cfg, rcfg, Some(ocfg), plan, dcfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resilient::run_chaos;
-    use crate::runner::RunConfig;
-    use platform_sim::{seeded_schedule, FaultConfig, SyntheticConfig};
-
-    fn dataset(seed: u64) -> Dataset {
-        Dataset::synthetic(&SyntheticConfig {
-            num_brokers: 24,
-            num_requests: 480,
-            days: 3,
-            imbalance: 0.25,
-            seed,
-        })
-    }
-
-    fn chaos_plan(seed: u64) -> FaultPlan {
-        FaultPlan::new(FaultConfig::scenario("broker-dropout+lost-feedback", seed).unwrap())
-    }
-
-    fn scratch(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("caam-supervisor-tests").join(name);
-        std::fs::remove_dir_all(&dir).ok();
-        dir
-    }
-
-    fn reference(ds: &Dataset, plan: FaultPlan) -> (RunMetrics, String) {
-        let mut r =
-            ResilientAssigner::new(Lacb::new(LacbConfig::default()), ResilienceConfig::default());
-        let m = run_chaos(ds, &mut r, &RunConfig::default(), plan);
-        let mut state = String::new();
-        r.primary().write_state(&mut state);
-        (m, state)
-    }
-
-    fn assert_bit_identical(a: &RunMetrics, b: &RunMetrics) {
-        assert_eq!(a.total_utility.to_bits(), b.total_utility.to_bits());
-        assert_eq!(a.daily_utility.len(), b.daily_utility.len());
-        for (x, y) in a.daily_utility.iter().zip(&b.daily_utility) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        assert_eq!(a.resilience, b.resilience);
-        let (sa, sb) = (a.ledger.snapshot(), b.ledger.snapshot());
-        assert_eq!(sa.realized_utility, sb.realized_utility);
-        assert_eq!(sa.requests_served, sb.requests_served);
-    }
+    use crate::testkit::{assert_bit_identical, chaos_plan, dataset, reference, scratch};
+    use platform_sim::seeded_schedule;
 
     #[test]
     fn uninterrupted_durable_run_matches_run_chaos() {
@@ -1072,7 +745,7 @@ mod tests {
         }));
         assert!(crashed.is_err());
         // Vandalise the newest checkpoint: flip one byte in the middle.
-        let store = CheckpointStore::open(&dir, 3).unwrap();
+        let store = CheckpointStore::open(&dir, CHECKPOINT_GENERATIONS).unwrap();
         let (newest_day, newest_path) = store.generations()[0].clone();
         assert_eq!(newest_day, 2);
         let mut bytes = std::fs::read(&newest_path).unwrap();
@@ -1101,7 +774,7 @@ mod tests {
             run_durable(&ds, LacbConfig::default(), ResilienceConfig::default(), plan, &dcfg)
         }));
         assert!(crashed.is_err());
-        let store = CheckpointStore::open(&dir, 3).unwrap();
+        let store = CheckpointStore::open(&dir, CHECKPOINT_GENERATIONS).unwrap();
         for (_, path) in store.generations() {
             std::fs::write(&path, b"caam-ckpt v2\ngarbage\n").unwrap();
         }
