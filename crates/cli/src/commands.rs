@@ -242,8 +242,8 @@ fn cmd_compare(args: &Args) -> Result<(), CliError> {
 /// wrapped in the degradation ladder; `--raw` exposes it to the chaos
 /// unprotected. `--checkpoint-day D` additionally checkpoints the
 /// (resilient LACB) pipeline after day `D`, restores it, finishes the
-/// horizon, and verifies the total utility matches the uninterrupted
-/// run bit for bit.
+/// horizon, and verifies it served bit-identically to the uninterrupted
+/// run (`RunMetrics::first_divergence`).
 fn cmd_chaos(args: &Args) -> Result<(), CliError> {
     let ds = dataset_from(args)?;
     let scenario = args.get("scenario").unwrap_or("broker-dropout+lost-feedback");
@@ -344,17 +344,17 @@ fn cmd_chaos(args: &Args) -> Result<(), CliError> {
         }
         let resumed =
             checkpoint::resume_chaos(&ds, &ckpt, cfg, vcfg, plan).map_err(|e| e.to_string())?;
-        let exact = uninterrupted.total_utility.to_bits() == resumed.total_utility.to_bits();
+        let diverged = uninterrupted.first_divergence(&resumed);
         println!(
             "checkpoint after day {day}: uninterrupted {:.4} vs resumed {:.4} — {}",
             uninterrupted.total_utility,
             resumed.total_utility,
-            if exact { "bit-identical" } else { "MISMATCH" }
+            if diverged.is_none() { "bit-identical" } else { "MISMATCH" }
         );
-        if !exact {
-            return Err(CliError::Gate(
-                "checkpoint resume diverged from the uninterrupted run".into(),
-            ));
+        if let Some(diff) = diverged {
+            return Err(CliError::Gate(format!(
+                "checkpoint resume diverged from the uninterrupted run: {diff}"
+            )));
         }
     }
     Ok(())
@@ -499,6 +499,77 @@ mod tests {
         cmd_chaos(&args).unwrap();
         assert!(out.exists());
         let _ = std::fs::remove_file(&out);
+    }
+
+    /// Every harness maps a bad invocation, an empty case table
+    /// included, to a usage error (exit 1) and a tripped gate to a gate
+    /// failure (exit 2).
+    #[test]
+    fn harness_exit_codes() {
+        let dir = std::env::temp_dir().join("caam-cli-exit-codes");
+        std::fs::remove_dir_all(&dir).ok();
+        let d = dir.display();
+        let tiny = "--brokers 12 --requests 120 --days 2 --sigma 0.3";
+        let soak = "soak --quick --brokers 12 --requests 150 --days 2 --stages 1,2";
+        let ramp = "overload --quick --requests 240 --days 3 --stages 1,8 --threads 1";
+        // (argv, gate failure?, texts the error must contain, file it must leave)
+        let cases: Vec<(String, bool, &[&str], Option<&str>)> = vec![
+            // Unknown names.
+            (
+                "crash-test --scenario nope --points 1".into(),
+                false,
+                &["unknown fault scenario", "full-chaos"],
+                None,
+            ),
+            ("soak --scenario nope".into(), false, &["unknown fault scenario"], None),
+            ("failover --net wobbly".into(), false, &["unknown --net"], None),
+            (
+                "storage-chaos --storage-scenario nope".into(),
+                false,
+                &["unknown storage scenario"],
+                None,
+            ),
+            // Invocations a harness cannot honour.
+            ("storage-chaos --scenario state-corruption".into(), false, &["corruption-free"], None),
+            ("overload --days 2 --stages 1,2,4,8,16 --threads 1".into(), false, &["--days"], None),
+            // Empty case tables prove nothing.
+            ("crash-test --points 0".into(), false, &["--points must be at least 1"], None),
+            ("failover --points 0".into(), false, &["--points must be at least 1"], None),
+            ("soak --crash-points 0".into(), false, &["--crash-points must be at least 1"], None),
+            (
+                "storage-chaos --crash-points 0".into(),
+                false,
+                &["--crash-points must be at least 1"],
+                None,
+            ),
+            ("storage-chaos --seeds 0".into(), false, &["--seeds must be at least 1"], None),
+            // Impossible goodput floors trip a gate.
+            (format!("{ramp} --goodput-floor 1000"), true, &["overload gates failed"], None),
+            (
+                format!("{soak} --crash-points 1 --goodput-floor 2.0 --dir {d}/soak"),
+                true,
+                &["soak gates failed"],
+                None,
+            ),
+            (
+                format!("failover {tiny} --points 1 --net lossy --goodput-floor 1000 --dir {d}/f"),
+                true,
+                &["failover runs failed"],
+                Some("f/failover-report.txt"),
+            ),
+        ];
+        for (line, gate, texts, artifact) in cases {
+            let err = dispatch(&argv(&line)).unwrap_err();
+            assert_eq!(matches!(err, CliError::Gate(_)), gate, "{line}: {err:?}");
+            let text = err.to_string();
+            for want in texts {
+                assert!(text.contains(want), "{line}: {text:?} lacks {want:?}");
+            }
+            if let Some(file) = artifact {
+                assert!(dir.join(file).exists(), "{line}: {file} not written");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -11,98 +11,57 @@
 
 use crate::args::Args;
 use crate::commands::CliError;
+use crate::harness::{self, durable_case, DurableStack, Tally, WorkDir};
 use lacb::supervisor::{run_durable, DurableConfig, DurableOutcome};
-use lacb::{LacbConfig, ResilienceConfig, RunMetrics};
-use platform_sim::{seeded_schedule, CrashPoint, Dataset, FaultConfig, FaultPlan, SyntheticConfig};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use lacb::ResilienceConfig;
+use platform_sim::{seeded_schedule, CrashPoint};
+use std::collections::BTreeSet;
 
-/// Compare every deterministic field of two runs bit for bit; wall-clock
-/// fields (`elapsed_secs`, `daily_elapsed`, timings) are excluded by
-/// construction. Returns the first mismatch as text.
-pub(crate) fn diff_runs(a: &RunMetrics, b: &RunMetrics) -> Option<String> {
-    if a.total_utility.to_bits() != b.total_utility.to_bits() {
-        return Some(format!("total utility {} vs {}", a.total_utility, b.total_utility));
+/// The crash-point case table on any durable stack, one line per point
+/// (`{word} i/n {point}`). For each point, `serve` with the point armed
+/// must die on the injected crash, and `serve` again over what the
+/// crash left on disk must reproduce `reference` and pass `check`
+/// ([`durable_case`]).
+pub(crate) fn crash_table(
+    work: &WorkDir,
+    word: &str,
+    schedule: &[CrashPoint],
+    serve: &DurableStack,
+    reference: &DurableOutcome,
+    check: impl Fn(&DurableOutcome) -> Result<(), String>,
+) -> Tally {
+    let mut tally = Tally::default();
+    for (i, point) in schedule.iter().enumerate() {
+        let dir = work.fresh(&format!("point-{i:02}"));
+        let verdict = durable_case(serve, reference, &dir, None, Some(*point)).and_then(|case| {
+            check(&case.recovered)?;
+            Ok(recovery_detail(&case.recovered))
+        });
+        let label = format!("{word} {:>2}/{} {:<28}", i + 1, schedule.len(), point.label());
+        work.settle(&label, &dir, verdict, &mut tally);
     }
-    if a.daily_utility.len() != b.daily_utility.len() {
-        return Some("daily utility length".into());
-    }
-    for (d, (x, y)) in a.daily_utility.iter().zip(&b.daily_utility).enumerate() {
-        if x.to_bits() != y.to_bits() {
-            return Some(format!("day {d} utility {x} vs {y}"));
-        }
-    }
-    if a.resilience != b.resilience {
-        return Some(format!("resilience stats {:?} vs {:?}", a.resilience, b.resilience));
-    }
-    let (sa, sb) = (a.ledger.snapshot(), b.ledger.snapshot());
-    for (name, va, vb) in [
-        ("realized", &sa.realized_utility, &sb.realized_utility),
-        ("predicted", &sa.predicted_utility, &sb.predicted_utility),
-        ("served", &sa.requests_served, &sb.requests_served),
-        ("peak", &sa.peak_daily_workload, &sb.peak_daily_workload),
-    ] {
-        let same = va.len() == vb.len()
-            && va.iter().zip(vb.iter()).all(|(x, y)| x.to_bits() == y.to_bits());
-        if !same {
-            return Some(format!("ledger {name} vectors differ"));
-        }
-    }
-    None
+    tally
 }
 
-/// Panic payloads the harnesses deliberately provoke: crash-point
-/// kills, and solver panics on injected corruption (absorbed by the
-/// resilience ladder). Both hooks silence these so harness output stays
-/// readable; any *other* panic still prints normally.
-pub(crate) fn absorbed_by_design(text: &str) -> bool {
-    text.contains("injected crash") || text.contains("non-finite utility")
-}
-
-/// Run `f`, expecting it to die on an injected crash. The panic hook is
-/// silenced for [`absorbed_by_design`] payloads while `f` runs.
-pub(crate) fn expect_injected_crash<T>(f: impl FnOnce() -> T) -> Result<String, String> {
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|info| {
-        let quiet =
-            info.payload().downcast_ref::<String>().map(|s| absorbed_by_design(s)).unwrap_or(false);
-        if !quiet {
-            eprintln!("{info}");
-        }
-    }));
-    let outcome = catch_unwind(AssertUnwindSafe(f));
-    std::panic::set_hook(default_hook);
-    match outcome {
-        Ok(_) => Err("run completed without crashing".into()),
-        Err(payload) => Ok(payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| "non-string panic payload".into())),
-    }
+fn recovery_detail(out: &DurableOutcome) -> String {
+    let from = match out.recovered_from {
+        Some(day) => format!("ckpt d{day}"),
+        None => "fresh".into(),
+    };
+    let torn = if out.wal_recovery.torn {
+        format!(", truncated {} torn bytes", out.wal_recovery.dropped_bytes)
+    } else {
+        String::new()
+    };
+    format!("(from {from}, replayed {} batches{torn})", out.replayed_batches)
 }
 
 pub fn cmd_crash_test(args: &Args) -> Result<(), CliError> {
-    let ds = Dataset::synthetic(&SyntheticConfig {
-        num_brokers: args.get_or("brokers", 24)?,
-        num_requests: args.get_or("requests", 360)?,
-        days: args.get_or("days", 3)?,
-        imbalance: args.get_or("sigma", 0.25)?,
-        seed: args.get_or("seed", 7)?,
-    });
-    let scenario = args.get("scenario").unwrap_or("broker-dropout+lost-feedback");
-    let fault_seed: u64 = args.get_or("fault-seed", 13)?;
+    let (_, ds, cfg) = harness::world(args, 24, 360, 3)?;
+    let (scenario, fault_seed, plan) = harness::fault_plan(args, "broker-dropout+lost-feedback")?;
     let crash_seed: u64 = args.get_or("crash-seed", 29)?;
-    let points: usize = args.get_or("points", 12)?;
-    let seed: u64 = args.get_or("seed", 7)?;
-    let keep_artifacts = args.has("keep-artifacts");
-    let root: PathBuf = match args.get("dir") {
-        Some(d) => PathBuf::from(d),
-        None => std::env::temp_dir().join(format!("caam-crash-test-{crash_seed}")),
-    };
-    let fault_cfg =
-        FaultConfig::scenario(scenario, fault_seed).map_err(|e| format!("--scenario: {e}"))?;
-    let plan = FaultPlan::new(fault_cfg);
-    let cfg = LacbConfig { seed, ..LacbConfig::opt() };
+    let points = harness::table_size(args, "points", 12)?;
+    let work = WorkDir::new(args, &format!("caam-crash-test-{crash_seed}"));
     let rcfg = ResilienceConfig::default();
 
     // Crash points are scheduled against the spiked horizon — the same
@@ -116,58 +75,19 @@ pub fn cmd_crash_test(args: &Args) -> Result<(), CliError> {
     println!("crash plan : {points} seeded points (crash seed {crash_seed})");
 
     // Reference: the same durable loop, uninterrupted, in its own dir.
-    let ref_dir = root.join("reference");
-    std::fs::remove_dir_all(&ref_dir).ok();
-    let reference = run_durable(&ds, cfg.clone(), rcfg.clone(), plan, &DurableConfig::at(&ref_dir))
-        .map_err(|e| CliError::Gate(format!("reference run failed: {e}")))?;
+    let serve = |dcfg: &DurableConfig| run_durable(&ds, cfg.clone(), rcfg.clone(), plan, dcfg);
+    let ref_dir = work.fresh("reference");
+    let reference = harness::serve("reference run", || serve(&DurableConfig::at(&ref_dir)))?;
     println!(
         "reference  : total utility {:.4}, {} days",
         reference.metrics.total_utility,
         reference.metrics.daily_utility.len()
     );
 
-    let mut failures = 0usize;
-    for (i, point) in schedule.iter().enumerate() {
-        let dir = root.join(format!("point-{i:02}"));
-        std::fs::remove_dir_all(&dir).ok();
-        let mut dcfg = DurableConfig::at(&dir);
-        dcfg.crash = Some(*point);
-        let crash =
-            expect_injected_crash(|| run_durable(&ds, cfg.clone(), rcfg.clone(), plan, &dcfg));
-        let verdict = match crash {
-            Err(why) => Err(why),
-            Ok(_) => {
-                dcfg.crash = None;
-                run_durable(&ds, cfg.clone(), rcfg.clone(), plan, &dcfg)
-                    .map_err(|e| format!("recovery failed: {e}"))
-                    .and_then(|out| check_recovery(&reference, &out))
-            }
-        };
-        match verdict {
-            Ok(detail) => {
-                println!("point {:>2}/{points} {:<28} OK  {detail}", i + 1, point.label());
-                if !keep_artifacts {
-                    std::fs::remove_dir_all(&dir).ok();
-                }
-            }
-            Err(why) => {
-                failures += 1;
-                println!("point {:>2}/{points} {:<28} FAIL {why}", i + 1, point.label());
-                println!("  artifacts kept at {}", dir.display());
-            }
-        }
-    }
-    if !keep_artifacts {
-        std::fs::remove_dir_all(&ref_dir).ok();
-        // Root dir may now be empty; remove it quietly if so.
-        std::fs::remove_dir(&root).ok();
-    }
-    let distinct_days = {
-        let mut days: Vec<usize> = schedule.iter().map(day_of).collect();
-        days.sort_unstable();
-        days.dedup();
-        days.len()
-    };
+    let tally = crash_table(&work, "point", &schedule, &serve, &reference, |_| Ok(()));
+    work.finish();
+    let distinct_days = schedule.iter().map(day_of).collect::<BTreeSet<_>>().len();
+    let failures = tally.failed.len();
     println!(
         "crash-test : {}/{points} points recovered bit-identically across {distinct_days} days",
         points - failures
@@ -175,7 +95,7 @@ pub fn cmd_crash_test(args: &Args) -> Result<(), CliError> {
     if failures > 0 {
         return Err(CliError::Gate(format!(
             "{failures}/{points} crash points failed recovery; artifacts under {}",
-            root.display()
+            work.root.display()
         )));
     }
     Ok(())
@@ -190,28 +110,6 @@ fn day_of(p: &CrashPoint) -> usize {
         | CrashPoint::DuringCheckpointWrite { day }
         | CrashPoint::BeforeCheckpointRename { day } => *day,
     }
-}
-
-fn check_recovery(reference: &DurableOutcome, out: &DurableOutcome) -> Result<String, String> {
-    if let Some(diff) = diff_runs(&reference.metrics, &out.metrics) {
-        return Err(format!("metrics diverged: {diff}"));
-    }
-    if out.final_state != reference.final_state {
-        return Err("learned state diverged".into());
-    }
-    let from = match out.recovered_from {
-        Some(day) => format!("ckpt d{day}"),
-        None => "fresh".into(),
-    };
-    Ok(format!(
-        "(from {from}, replayed {} batches{})",
-        out.replayed_batches,
-        if out.wal_recovery.torn {
-            format!(", truncated {} torn bytes", out.wal_recovery.dropped_bytes)
-        } else {
-            String::new()
-        }
-    ))
 }
 
 #[cfg(test)]
@@ -234,13 +132,5 @@ mod tests {
         .unwrap();
         cmd_crash_test(&args).unwrap();
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn unknown_scenario_is_rejected() {
-        let args = Args::parse(&argv("--scenario nope --points 1")).unwrap();
-        let err = cmd_crash_test(&args).unwrap_err().to_string();
-        assert!(err.contains("unknown fault scenario"), "{err}");
-        assert!(err.contains("full-chaos"), "error lists valid names: {err}");
     }
 }

@@ -23,17 +23,15 @@
 
 use crate::args::Args;
 use crate::commands::CliError;
-use crate::crash_test::{absorbed_by_design, diff_runs};
+use crate::harness::{self, quote, same_outcome, Tally, WorkDir};
 use lacb::{
     run_chaos, run_replicated, Lacb, LacbConfig, ReplicatedOutcome, ReplicationConfig,
     ResilienceConfig, ResilientAssigner, RunConfig, RunMetrics,
 };
 use platform_sim::{
-    seeded_kill_schedule, Dataset, FaultConfig, FaultPlan, KillPoint, NetFaultConfig, NetFaultPlan,
-    SyntheticConfig, NET_SCENARIOS,
+    seeded_kill_schedule, Dataset, FaultPlan, KillPoint, NetFaultConfig, NetFaultPlan,
+    NET_SCENARIOS,
 };
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 
 /// The uninterrupted single-node run every replicated outcome must
 /// match bit for bit.
@@ -65,17 +63,16 @@ fn goodput(metrics: &RunMetrics, offered: usize) -> f64 {
 }
 
 /// Check one replicated outcome against the reference and the
-/// harness's protocol gates. `expect_promotion` distinguishes kill
-/// runs (follower must take over) from link-fault runs (primary must
-/// survive and the follower must converge).
+/// harness's protocol gates. A `kill` run's follower must take over; in
+/// a link-fault run (no kill) the primary must survive and the follower
+/// must converge.
 fn check_outcome(
     out: &ReplicatedOutcome,
     reference: &Reference,
-    expect_promotion: bool,
     kill: Option<&KillPoint>,
     floor: f64,
 ) -> Result<String, String> {
-    if expect_promotion {
+    if kill.is_some() {
         if !out.promoted {
             return Err("follower was never promoted".into());
         }
@@ -93,12 +90,7 @@ fn check_outcome(
             return Err("follower did not converge to the primary's state".into());
         }
     }
-    if let Some(diff) = diff_runs(&reference.metrics, &out.metrics) {
-        return Err(format!("metrics diverged: {diff}"));
-    }
-    if out.final_state != reference.state {
-        return Err("learned state diverged".into());
-    }
+    same_outcome(&reference.metrics, &reference.state, &out.metrics, &out.final_state)?;
     if matches!(kill, Some(KillPoint::MidFrame { .. })) && out.replication.corrupt_rejected == 0 {
         return Err("torn mid-frame kill was not CRC-rejected".into());
     }
@@ -107,7 +99,7 @@ fn check_outcome(
         return Err(format!("goodput {:.1}% below floor {:.1}%", g * 100.0, floor * 100.0));
     }
     let repl = &out.replication;
-    Ok(if expect_promotion {
+    Ok(if kill.is_some() {
         format!(
             "(epoch {}, took over at {:?}, {} stale fenced, goodput {:.1}%)",
             repl.epoch,
@@ -129,83 +121,26 @@ fn check_outcome(
     })
 }
 
-/// Run one replicated horizon, converting panics into gate failures so
-/// a single bad point cannot take down the whole harness. Only panics
-/// the harness injects on purpose are expected; any escaped panic is
-/// itself a failed gate.
-fn run_point(
-    ds: &Dataset,
-    cfg: &LacbConfig,
-    plan: FaultPlan,
-    net: NetFaultPlan,
-    repl: &ReplicationConfig,
-) -> Result<ReplicatedOutcome, String> {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|info| {
-        let text = info.to_string();
-        if !absorbed_by_design(&text) {
-            eprintln!("{text}");
-        }
-    }));
-    let caught = catch_unwind(AssertUnwindSafe(|| {
-        run_replicated(ds, cfg.clone(), ResilienceConfig::default(), plan, net, repl)
-    }));
-    std::panic::set_hook(prev);
-    match caught {
-        Ok(Ok(out)) => Ok(out),
-        Ok(Err(e)) => Err(format!("replicated run failed: {e}")),
-        Err(payload) => {
-            let text = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic".into());
-            Err(format!("panic escaped the replicated run: {text}"))
-        }
-    }
-}
-
 pub(crate) fn cmd_failover(args: &Args) -> Result<(), CliError> {
-    let scfg = SyntheticConfig {
-        num_brokers: args.get_or("brokers", 24)?,
-        num_requests: args.get_or("requests", 360)?,
-        days: args.get_or("days", 3)?,
-        imbalance: args.get_or("sigma", 0.25)?,
-        seed: args.get_or("seed", 7)?,
-    };
-    let scenario = args.get("scenario").unwrap_or("broker-dropout+lost-feedback");
-    let fault_seed: u64 = args.get_or("fault-seed", 13)?;
+    let (scfg, ds, cfg) = harness::world(args, 24, 360, 3)?;
+    let (scenario, fault_seed, plan) = harness::fault_plan(args, "broker-dropout+lost-feedback")?;
     let kill_seed: u64 = args.get_or("kill-seed", 31)?;
     let net_seed: u64 = args.get_or("net-seed", 11)?;
-    let points: usize = args.get_or("points", 10)?;
+    let points = harness::table_size(args, "points", 10)?;
     let floor: f64 = args.get_or("goodput-floor", 0.9)?;
-    let keep_artifacts = args.has("keep-artifacts");
-    let root: PathBuf = match args.get("dir") {
-        Some(d) => PathBuf::from(d),
-        None => std::env::temp_dir().join("caam-failover"),
-    };
+    let work = WorkDir::new(args, "caam-failover");
     let nets: Vec<&str> = match args.get("net") {
-        Some(name) => {
-            if !NET_SCENARIOS.contains(&name) {
-                return Err(CliError::Usage(format!(
-                    "unknown --net {name:?}; expected one of {NET_SCENARIOS:?}"
-                )));
-            }
-            vec![name]
+        Some(name) if !NET_SCENARIOS.contains(&name) => {
+            return Err(CliError::Usage(format!(
+                "unknown --net {name:?}; expected one of {NET_SCENARIOS:?}"
+            )));
         }
+        Some(name) => vec![name],
         // Every fault family by default; `none` adds nothing the kill
         // runs don't already cover.
         None => NET_SCENARIOS.iter().copied().filter(|n| *n != "none").collect(),
     };
-    if points == 0 {
-        return Err(CliError::Usage("--points must be at least 1".into()));
-    }
 
-    let fcfg =
-        FaultConfig::scenario(scenario, fault_seed).map_err(|e| CliError::Usage(e.to_string()))?;
-    let plan = FaultPlan::new(fcfg);
-    let cfg = LacbConfig { seed: scfg.seed, ..LacbConfig::opt() };
-    let ds = Dataset::synthetic(&scfg);
     let spiked = ds.with_batch_spikes(&plan);
     let batches: Vec<usize> = spiked.days.iter().map(|d| d.len()).collect();
     let offered = spiked.total_requests();
@@ -227,87 +162,50 @@ pub(crate) fn cmd_failover(args: &Args) -> Result<(), CliError> {
         goodput(&reference.metrics, offered) * 100.0
     );
 
-    let mut failures: Vec<String> = Vec::new();
+    // One replicated horizon per case; a panic fails only its case.
+    let serve = |net: NetFaultPlan, repl: &ReplicationConfig| {
+        harness::serve("replicated run", || {
+            run_replicated(&ds, cfg.clone(), ResilienceConfig::default(), plan, net, repl)
+        })
+    };
+    let mut tally = Tally::default();
     let quiet = NetFaultPlan::new(NetFaultConfig { seed: net_seed, ..NetFaultConfig::default() });
     for (i, point) in schedule.iter().enumerate() {
-        let dir = root.join(format!("kill-{i:02}"));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = work.fresh(&format!("kill-{i:02}"));
         let mut repl = ReplicationConfig::at(&dir);
         repl.kill = Some(*point);
-        let verdict = run_point(&ds, &cfg, plan, quiet, &repl)
-            .and_then(|out| check_outcome(&out, &reference, true, Some(point), floor));
-        report_verdict(
-            &format!("kill {:>2}/{points} {:<24}", i + 1, point.label()),
-            verdict,
-            &dir,
-            keep_artifacts,
-            &mut failures,
-        );
+        let verdict = serve(quiet, &repl)
+            .and_then(|out| Ok(check_outcome(&out, &reference, Some(point), floor)?));
+        let label = format!("kill {:>2}/{points} {:<24}", i + 1, point.label());
+        work.settle(&label, &dir, verdict, &mut tally);
     }
 
     for (i, name) in nets.iter().enumerate() {
-        let dir = root.join(format!("net-{name}"));
-        std::fs::remove_dir_all(&dir).ok();
-        let repl = ReplicationConfig::at(&dir);
+        let dir = work.fresh(&format!("net-{name}"));
         let ncfg =
             NetFaultConfig::scenario(name, net_seed).map_err(|e| CliError::Usage(e.to_string()))?;
-        let verdict = run_point(&ds, &cfg, plan, NetFaultPlan::new(ncfg), &repl)
-            .and_then(|out| check_outcome(&out, &reference, false, None, floor));
-        report_verdict(
-            &format!("net  {:>2}/{} {:<24}", i + 1, nets.len(), name),
-            verdict,
-            &dir,
-            keep_artifacts,
-            &mut failures,
-        );
+        let verdict = serve(NetFaultPlan::new(ncfg), &ReplicationConfig::at(&dir))
+            .and_then(|out| Ok(check_outcome(&out, &reference, None, floor)?));
+        let label = format!("net  {:>2}/{} {:<24}", i + 1, nets.len(), name);
+        work.settle(&label, &dir, verdict, &mut tally);
     }
 
     let total = schedule.len() + nets.len();
-    println!(
-        "failover   : {}/{total} runs took over / converged bit-identically",
-        total - failures.len()
-    );
-    if failures.is_empty() {
-        if !keep_artifacts {
-            std::fs::remove_dir(&root).ok();
-        }
+    let failed = tally.failed.len();
+    println!("failover   : {}/{total} runs took over / converged bit-identically", total - failed);
+    work.finish();
+    if failed == 0 {
         return Ok(());
     }
-    std::fs::create_dir_all(&root).ok();
-    let report = root.join("failover-report.txt");
-    let mut text = String::new();
-    for f in &failures {
-        text.push_str(f);
-        text.push('\n');
-    }
-    std::fs::write(&report, text).ok();
+    std::fs::create_dir_all(&work.root).ok();
+    let report = work.root.join("failover-report.txt");
+    let failures = harness::list("[", tally.failed.iter().map(|f| quote(f)), "]");
+    let gate = tally.gate("failover", total, "runs", String::new());
+    harness::write_report(&report, &[("failures", &failures)], &[gate]).ok();
     Err(CliError::Gate(format!(
-        "{}/{total} failover runs failed; report at {}",
-        failures.len(),
+        "{failed}/{total} failover runs failed; report at {}",
         report.display()
     )))
-}
-
-fn report_verdict(
-    label: &str,
-    verdict: Result<String, String>,
-    dir: &std::path::Path,
-    keep_artifacts: bool,
-    failures: &mut Vec<String>,
-) {
-    match verdict {
-        Ok(detail) => {
-            println!("{label} OK  {detail}");
-            if !keep_artifacts {
-                std::fs::remove_dir_all(dir).ok();
-            }
-        }
-        Err(why) => {
-            println!("{label} FAIL {why}");
-            println!("  artifacts kept at {}", dir.display());
-            failures.push(format!("{label} FAIL {why}"));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -329,29 +227,6 @@ mod tests {
         )))
         .unwrap();
         cmd_failover(&args).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn unknown_net_scenario_is_a_usage_error() {
-        let args = Args::parse(&argv("--net wobbly")).unwrap();
-        let err = cmd_failover(&args).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)), "net typo is a usage error: {err:?}");
-    }
-
-    #[test]
-    fn impossible_goodput_floor_is_a_gate_failure() {
-        let dir = std::env::temp_dir().join("caam-failover-floor");
-        std::fs::remove_dir_all(&dir).ok();
-        let args = Args::parse(&argv(&format!(
-            "--brokers 12 --requests 120 --days 2 --sigma 0.3 --points 1 \
-             --net lossy --goodput-floor 1000 --dir {}",
-            dir.display()
-        )))
-        .unwrap();
-        let err = cmd_failover(&args).unwrap_err();
-        assert!(matches!(err, CliError::Gate(_)), "floor breach is a gate failure: {err:?}");
-        assert!(dir.join("failover-report.txt").exists(), "report artifact must be written");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -18,6 +18,7 @@ mod bench_serve;
 mod commands;
 mod crash_test;
 mod failover;
+mod harness;
 mod overload;
 mod soak;
 mod storage_chaos;

@@ -12,85 +12,28 @@
 //!   same utility, learned state and overload accounting for every
 //!   `--threads` entry.
 //!
-//! Any gate failure is a non-zero exit; `--out FILE` writes a ramp
+//! Any gate failure is a non-zero exit; `--out FILE` writes a JSON ramp
 //! report (per-day goodput curve plus the full accounting) that CI
 //! uploads as an artifact when the gate trips.
 
 use crate::args::Args;
 use crate::commands::CliError;
+use crate::harness::{self, caught, list, obj, quote, same_outcome, Gate};
 use lacb::overload::{run_overload, OverloadConfig, OverloadOutcome};
 use lacb::{LacbConfig, ResilienceConfig};
-use platform_sim::{ramp_dataset, Dataset, FaultConfig, FaultPlan, OverloadStats, SyntheticConfig};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
-fn parse_list<T: std::str::FromStr>(raw: &str, what: &str) -> Result<Vec<T>, String> {
-    let vals: Result<Vec<T>, _> = raw.split(',').map(|s| s.trim().parse()).collect();
-    let vals = vals.map_err(|_| format!("bad {what} list {raw:?}"))?;
-    if vals.is_empty() {
-        return Err(format!("{what} list is empty"));
-    }
-    Ok(vals)
-}
-
-/// One gate check: name, verdict, human detail.
-struct Gate {
-    name: &'static str,
-    pass: bool,
-    detail: String,
-}
-
-fn run_one(
-    dataset: &Dataset,
-    cfg: LacbConfig,
-    ocfg: &OverloadConfig,
-    plan: FaultPlan,
-) -> Result<OverloadOutcome, String> {
-    catch_unwind(AssertUnwindSafe(|| {
-        run_overload(dataset, cfg, ResilienceConfig::default(), ocfg, plan)
-    }))
-    .map_err(|payload| {
-        let why = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_else(|| "non-string panic payload".into());
-        format!("serving loop panicked: {why}")
-    })
-}
+use platform_sim::ramp_dataset;
 
 pub fn cmd_overload(args: &Args) -> Result<(), CliError> {
     let quick = args.has("quick");
-    let base = Dataset::synthetic(&SyntheticConfig {
-        num_brokers: args.get_or("brokers", 24)?,
-        num_requests: args.get_or("requests", if quick { 360 } else { 600 })?,
-        days: args.get_or("days", if quick { 6 } else { 10 })?,
-        imbalance: args.get_or("sigma", 0.25)?,
-        seed: args.get_or("seed", 7)?,
-    });
-    let stages: Vec<u32> = parse_list(
-        args.get("stages").unwrap_or(if quick { "1,4,16" } else { "1,2,4,8,16" }),
-        "--stages",
-    )?;
-    let threads: Vec<usize> = parse_list(
-        args.get("threads").unwrap_or(if quick { "1,2" } else { "1,2,4,8" }),
-        "--threads",
-    )?;
+    let (_, base, cfg) =
+        harness::world(args, 24, if quick { 360 } else { 600 }, if quick { 6 } else { 10 })?;
+    let stages =
+        harness::stages(args, if quick { "1,4,16" } else { "1,2,4,8,16" }, base.days.len())?;
+    let threads: Vec<usize> =
+        harness::list_flag(args, "threads", if quick { "1,2" } else { "1,2,4,8" })?;
     let goodput_floor: f64 = args.get_or("goodput-floor", 0.6)?;
     let ramp_seed: u64 = args.get_or("ramp-seed", 97)?;
-    let seed: u64 = args.get_or("seed", 7)?;
-    let scenario = args.get("scenario").unwrap_or("none");
-    let fault_seed: u64 = args.get_or("fault-seed", 13)?;
-    if base.days.len() < stages.len() {
-        return Err(CliError::Usage(format!(
-            "--days {} must cover --stages {} (one stage needs at least one day)",
-            base.days.len(),
-            stages.len()
-        )));
-    }
-
-    let plan = FaultPlan::new(
-        FaultConfig::scenario(scenario, fault_seed).map_err(|e| format!("--scenario: {e}"))?,
-    );
+    let (scenario, fault_seed, plan) = harness::fault_plan(args, "none")?;
     let ramp = ramp_dataset(&base, &stages, ramp_seed);
     let ocfg = OverloadConfig::sized_for(&base);
 
@@ -113,43 +56,29 @@ pub fn cmd_overload(args: &Args) -> Result<(), CliError> {
 
     // One run per thread count; the first is the reference the gates
     // inspect, the rest must be bit-identical to it.
-    let mut reference: Option<OverloadOutcome> = None;
-    let mut identical = true;
-    let mut identical_detail = String::from("single thread count");
+    let mut runs: Vec<OverloadOutcome> = Vec::new();
     let mut panic_detail: Option<String> = None;
     for &n_threads in &threads {
-        let cfg = LacbConfig { seed, n_threads, ..LacbConfig::opt() };
-        match run_one(&ramp.dataset, cfg, &ocfg, plan) {
+        let cfg = LacbConfig { n_threads, ..cfg.clone() };
+        let run = || run_overload(&ramp.dataset, cfg, ResilienceConfig::default(), &ocfg, plan);
+        match caught(run) {
+            Ok(out) => runs.push(out),
             Err(why) => {
-                panic_detail = Some(format!("threads={n_threads}: {why}"));
+                panic_detail = Some(format!("threads={n_threads}: serving loop panicked: {why}"));
                 break;
             }
-            Ok(out) => match &reference {
-                None => reference = Some(out),
-                Some(r) => {
-                    let same = r.metrics.total_utility.to_bits()
-                        == out.metrics.total_utility.to_bits()
-                        && r.final_state == out.final_state
-                        && r.metrics.overload == out.metrics.overload;
-                    if same {
-                        identical_detail = format!("threads {threads:?} agree bit-for-bit");
-                    } else {
-                        identical = false;
-                        identical_detail =
-                            format!("threads={n_threads} diverged from threads={}", threads[0]);
-                    }
-                }
-            },
         }
     }
-    let Some(reference) = reference else {
+    let Some(reference) = runs.first() else {
         return Err(CliError::Gate(panic_detail.unwrap_or_else(|| "no run completed".into())));
     };
-    let ov = reference
-        .metrics
-        .overload
-        .clone()
-        .ok_or_else(|| CliError::Gate("run carried no overload stats".into()))?;
+    let diverged = runs.iter().zip(&threads).find(|(out, _)| {
+        same_outcome(&reference.metrics, &reference.final_state, &out.metrics, &out.final_state)
+            .is_err()
+    });
+    let Some(ov) = &reference.metrics.overload else {
+        return Err(CliError::Gate("run carried no overload stats".into()));
+    };
 
     // Goodput curve: baseline is the mean served over the first-stage
     // days; no day may fall below the floor.
@@ -198,8 +127,12 @@ pub fn cmd_overload(args: &Args) -> Result<(), CliError> {
         },
         Gate {
             name: "thread-identical",
-            pass: identical && panic_detail.is_none(),
-            detail: identical_detail,
+            pass: diverged.is_none() && panic_detail.is_none(),
+            detail: match diverged {
+                Some((_, n)) => format!("threads={n} diverged from threads={}", threads[0]),
+                None if runs.len() > 1 => format!("threads {threads:?} agree bit-for-bit"),
+                None => "single thread count".into(),
+            },
         },
     ];
 
@@ -219,87 +152,49 @@ pub fn cmd_overload(args: &Args) -> Result<(), CliError> {
         ov.reduced_cbs_batches,
         ov.greedy_batches
     );
-    let mut failures = 0usize;
-    for g in &gates {
-        let verdict = if g.pass { "PASS" } else { "FAIL" };
-        if !g.pass {
-            failures += 1;
-        }
-        println!("gate {:<17} {verdict}  {}", g.name, g.detail);
-    }
-    let verdict = if failures == 0 { "PASS" } else { "FAIL" };
-    println!(
-        "overload summary: {verdict} ({}/{} gates), goodput floor {:.0}%, worst day {:.1}%, shed {}/{}",
-        gates.len() - failures,
-        gates.len(),
-        goodput_floor * 100.0,
-        worst_ratio * 100.0,
-        ov.shed_total(),
-        ov.offered
-    );
-
-    if let Some(path) = args.get("out") {
-        let report = render_report(&ramp.dataset.name, &stages, &ramp, &ov, &gates, baseline);
-        std::fs::write(path, report).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("report     : {path}");
-    }
-    if failures > 0 {
-        return Err(CliError::Gate(format!("{failures}/{} overload gates failed", gates.len())));
-    }
-    Ok(())
-}
-
-fn render_report(
-    name: &str,
-    stages: &[u32],
-    ramp: &platform_sim::TrafficRamp,
-    ov: &OverloadStats,
-    gates: &[Gate],
-    baseline: f64,
-) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("caam overload ramp report\ndataset {name}\nstages {stages:?}\n"));
-    out.push_str(&format!("goodput baseline {baseline:.2}\n"));
-    out.push_str("day stage served\n");
-    for (d, &served) in ov.daily_served.iter().enumerate() {
-        out.push_str(&format!("{d} x{} {served}\n", ramp.multiplier_of_day(d)));
-    }
-    out.push_str(&format!(
-        "offered {} admitted {} served {} shed-queue-full {} shed-deadline {} shed-watermark {} leftover {}\n",
-        ov.offered,
-        ov.admitted,
-        ov.served,
-        ov.shed_queue_full,
-        ov.shed_deadline,
-        ov.shed_watermark,
-        ov.leftover_queued
-    ));
-    out.push_str(&format!(
-        "spikes {} breaker-trips {} brownout-escalations {} reduced-cbs {} greedy {}\n",
-        ov.spikes_detected,
-        ov.breaker_trips,
-        ov.brownout_escalations,
-        ov.reduced_cbs_batches,
-        ov.greedy_batches
-    ));
-    for e in &ov.breaker_events {
-        out.push_str(&format!(
-            "breaker-event {} tick {} {} -> {}\n",
-            e.component.label(),
-            e.transition.tick,
-            e.transition.from.label(),
-            e.transition.to.label()
-        ));
-    }
-    for g in gates {
-        out.push_str(&format!(
-            "gate {} {} {}\n",
-            g.name,
-            if g.pass { "PASS" } else { "FAIL" },
-            g.detail
-        ));
-    }
-    out
+    let days = ov.daily_served.iter().enumerate().map(|(d, served)| {
+        obj(&[("day", &d), ("stage", &ramp.multiplier_of_day(d)), ("served", served)])
+    });
+    let breaker_events = ov.breaker_events.iter().map(|e| {
+        obj(&[
+            ("component", &quote(e.component.label())),
+            ("tick", &e.transition.tick),
+            ("from", &quote(e.transition.from.label())),
+            ("to", &quote(e.transition.to.label())),
+        ])
+    });
+    harness::conclude(
+        args,
+        "overload",
+        17,
+        &gates,
+        &format!(
+            "goodput floor {:.0}%, worst day {:.1}%, shed {}/{}",
+            goodput_floor * 100.0,
+            worst_ratio * 100.0,
+            ov.shed_total(),
+            ov.offered
+        ),
+        &[
+            ("dataset", &quote(&ramp.dataset.name)),
+            ("stages", &format!("{stages:?}")),
+            ("goodput_baseline", &format!("{baseline:.2}")),
+            ("days", &list("[", days, "]")),
+            ("offered", &ov.offered),
+            ("admitted", &ov.admitted),
+            ("served", &ov.served),
+            ("shed_queue_full", &ov.shed_queue_full),
+            ("shed_deadline", &ov.shed_deadline),
+            ("shed_watermark", &ov.shed_watermark),
+            ("leftover", &ov.leftover_queued),
+            ("spikes", &ov.spikes_detected),
+            ("breaker_trips", &ov.breaker_trips),
+            ("brownout_escalations", &ov.brownout_escalations),
+            ("reduced_cbs", &ov.reduced_cbs_batches),
+            ("greedy", &ov.greedy_batches),
+            ("breaker_events", &list("[", breaker_events, "]")),
+        ],
+    )
 }
 
 #[cfg(test)]
@@ -314,7 +209,7 @@ mod tests {
     fn quick_ramp_passes_all_gates_and_writes_a_report() {
         let dir = std::env::temp_dir().join("caam-overload-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let report = dir.join("ramp.txt");
+        let report = dir.join("ramp.json");
         let args = Args::parse(&argv(&format!(
             "--quick --requests 240 --days 3 --stages 1,8 --threads 1,2 --out {}",
             report.display()
@@ -322,26 +217,9 @@ mod tests {
         .unwrap();
         cmd_overload(&args).expect("quick ramp must pass the gate");
         let text = std::fs::read_to_string(&report).unwrap();
-        assert!(text.contains("gate goodput-floor PASS"), "report:\n{text}");
-        assert!(text.contains("gate shed-accounting PASS"));
-        assert!(text.contains("gate thread-identical PASS"));
+        assert!(text.contains("\"name\": \"goodput-floor\", \"pass\": true"), "report:\n{text}");
+        assert!(text.contains("\"name\": \"shed-accounting\", \"pass\": true"), "report:\n{text}");
+        assert!(text.contains("\"name\": \"thread-identical\", \"pass\": true"), "report:\n{text}");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn impossible_goodput_floor_fails_the_gate() {
-        let args = Args::parse(&argv(
-            "--quick --requests 240 --days 3 --stages 1,8 --threads 1 --goodput-floor 1000",
-        ))
-        .unwrap();
-        let err = cmd_overload(&args).unwrap_err().to_string();
-        assert!(err.contains("gates failed"), "got {err}");
-    }
-
-    #[test]
-    fn stage_count_beyond_days_is_rejected() {
-        let args = Args::parse(&argv("--days 2 --stages 1,2,4,8,16 --threads 1")).unwrap();
-        let err = cmd_overload(&args).unwrap_err().to_string();
-        assert!(err.contains("--days"), "got {err}");
     }
 }

@@ -18,13 +18,14 @@
 //!   representable values the next learning update absorbs;
 //! * **goodput held** — shed accounting balances exactly and
 //!   served/offered stays above the floor despite the combined load;
-//! * **crash recovery** — every seeded crash point recovers
-//!   bit-identically to the uninterrupted reference (utility, learned
-//!   state, overload accounting) with its own audits fully repaired;
-//! * **storage faults held** — a side leg runs the durable loop on an
+//! * **crash recovery** — `crash-test`'s case table on this stack:
+//!   every seeded crash point recovers bit-identically to the
+//!   uninterrupted reference, with its own audits fully repaired;
+//! * **storage faults held** — one `storage-chaos` schedule case on an
 //!   injected flaky disk (ENOSPC, EIO, torn writes, failed renames):
 //!   serving must stay bit-identical to a clean-disk reference with
-//!   exact degraded-mode replay-buffer accounting;
+//!   exact degraded-mode replay-buffer accounting, and what the disk
+//!   kept must restore;
 //! * **zero panics escape** — injected solver panics absorbed by the
 //!   degradation ladder are the designed behaviour; a panic with any
 //!   other payload reaching the harness is a failure.
@@ -34,23 +35,15 @@
 
 use crate::args::Args;
 use crate::commands::CliError;
-use crate::crash_test::{diff_runs, expect_injected_crash};
-use lacb::supervisor::{run_durable, run_overload_durable, DurableConfig, DurableOutcome};
-use lacb::{LacbConfig, OverloadConfig, ResilienceConfig, StorageConfig};
+use crate::crash_test::crash_table;
+use crate::harness::{self, durable_case, escaped_gate, obj, quote, Fail, Gate, WorkDir};
+use lacb::supervisor::{run_durable, run_overload_durable, DurableConfig};
+use lacb::{LacbConfig, OverloadConfig, ResilienceConfig};
 use platform_sim::{
-    ramp_dataset, seeded_schedule, AuditReport, Dataset, FaultConfig, FaultPlan, FaultVfs,
-    InvariantKind, StateFaultKind, StorageFaultConfig, SyntheticConfig,
+    ramp_dataset, seeded_schedule, AuditReport, Dataset, FaultConfig, FaultPlan, InvariantKind,
+    StateFaultKind, StorageFaultConfig,
 };
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
-
-/// One gate check: name, verdict, human detail.
-struct Gate {
-    name: &'static str,
-    pass: bool,
-    detail: String,
-}
+use std::fmt::Display;
 
 /// Census of what the seeded fault schedule will inject over the
 /// spiked horizon — computed up front (the plan is pure) so the
@@ -97,94 +90,26 @@ fn violation_histogram(report: &AuditReport) -> Vec<(&'static str, usize)> {
         .collect()
 }
 
-pub(crate) fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    payload
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-        .unwrap_or_else(|| "non-string panic payload".into())
-}
-
-/// Scoped panic-hook guard. While alive, panics the soak *expects* —
-/// solver panics on injected corruption (absorbed by the resilience
-/// ladder) and injected crash points — are not echoed to stderr, so a
-/// full-schedule run prints gates instead of dozens of backtraces. Any
-/// other panic still prints and will fail the zero-escaped-panics gate.
-pub(crate) struct QuietPanics;
-
-impl QuietPanics {
-    pub(crate) fn install() -> Self {
-        let _ = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|info| {
-            let text = info
-                .payload()
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| info.payload().downcast_ref::<&str>().copied())
-                .unwrap_or("");
-            if !crate::crash_test::absorbed_by_design(text) {
-                eprintln!("{info}");
-            }
-        }));
-        QuietPanics
-    }
-}
-
-impl Drop for QuietPanics {
-    fn drop(&mut self) {
-        // Dropping the taken hook reinstates the default one.
-        let _ = std::panic::take_hook();
-    }
-}
-
 pub fn cmd_soak(args: &Args) -> Result<(), CliError> {
     let quick = args.has("quick");
-    let base = Dataset::synthetic(&SyntheticConfig {
-        num_brokers: args.get_or("brokers", 18)?,
-        num_requests: args.get_or("requests", if quick { 240 } else { 540 })?,
-        days: args.get_or("days", if quick { 3 } else { 6 })?,
-        imbalance: args.get_or("sigma", 0.25)?,
-        seed: args.get_or("seed", 7)?,
-    });
-    let scenario = args.get("scenario").unwrap_or("soak");
-    let fault_seed: u64 = args.get_or("fault-seed", 13)?;
+    let (_, base, cfg) =
+        harness::world(args, 18, if quick { 240 } else { 540 }, if quick { 3 } else { 6 })?;
+    let (scenario, fault_seed, plan) = harness::fault_plan(args, "soak")?;
     let ramp_seed: u64 = args.get_or("ramp-seed", 97)?;
     let crash_seed: u64 = args.get_or("crash-seed", 29)?;
-    let crash_points: usize = args.get_or("crash-points", if quick { 3 } else { 6 })?;
+    let crash_points = harness::table_size(args, "crash-points", if quick { 3 } else { 6 })?;
     // The default schedule rides a 4x ramp with every fault family on;
     // ~47% of offered traffic surviving is the healthy operating point,
     // so the default floor sits just under it with margin for noise.
     let goodput_floor: f64 = args.get_or("goodput-floor", 0.4)?;
-    let seed: u64 = args.get_or("seed", 7)?;
-    let keep_artifacts = args.has("keep-artifacts");
-    let stages: Vec<u32> = args
-        .get("stages")
-        .unwrap_or("1,4")
-        .split(',')
-        .map(|s| s.trim().parse::<u32>().map_err(|_| format!("bad --stages entry {s:?}")))
-        .collect::<Result<_, _>>()?;
-    if stages.is_empty() || base.days.len() < stages.len() {
-        return Err(CliError::Usage(format!(
-            "--days {} must cover --stages {:?} (one stage needs at least one day)",
-            base.days.len(),
-            stages
-        )));
-    }
-    let root: PathBuf = match args.get("dir") {
-        Some(d) => PathBuf::from(d),
-        None => std::env::temp_dir().join(format!("caam-soak-{fault_seed}-{crash_seed}")),
-    };
-    let fault_cfg =
-        FaultConfig::scenario(scenario, fault_seed).map_err(|e| format!("--scenario: {e}"))?;
-    let plan = FaultPlan::new(fault_cfg);
+    let stages = harness::stages(args, "1,4", base.days.len())?;
+    let work = WorkDir::new(args, &format!("caam-soak-{fault_seed}-{crash_seed}"));
     let ramp = ramp_dataset(&base, &stages, ramp_seed);
     let ocfg = OverloadConfig::sized_for(&base);
-    let cfg = LacbConfig { seed, ..LacbConfig::opt() };
     let rcfg = ResilienceConfig::default();
-    let num_brokers = base.brokers.len();
 
     let spiked = ramp.dataset.with_batch_spikes(&plan);
-    let inj = census(&plan, &spiked, num_brokers);
+    let inj = census(&plan, &spiked, base.brokers.len());
 
     println!("dataset    : {} ({} days, ramp x{stages:?})", ramp.dataset.name, spiked.days.len());
     println!("scenario   : {scenario} (fault seed {fault_seed})");
@@ -193,39 +118,15 @@ pub fn cmd_soak(args: &Args) -> Result<(), CliError> {
         inj.bit_flips, inj.nan_writes, inj.overflow_writes, inj.batch_replays
     );
 
-    // Silence absorbed-by-design panics (solver panics on injected
-    // corruption, injected crash points) for the rest of the soak so
-    // the report stays readable; anything else still prints. The guard
-    // restores the default hook when the command returns.
-    let _quiet = QuietPanics::install();
-
     // Reference: the full fault schedule, uninterrupted, audits on.
-    let ref_dir = root.join("reference");
-    std::fs::remove_dir_all(&ref_dir).ok();
-    let run_at = |dcfg: &DurableConfig| {
+    let serve = |dcfg: &DurableConfig| {
         run_overload_durable(&ramp.dataset, cfg.clone(), rcfg.clone(), &ocfg, plan, dcfg)
     };
-    let reference: DurableOutcome =
-        match catch_unwind(AssertUnwindSafe(|| run_at(&DurableConfig::at(&ref_dir)))) {
-            Ok(Ok(out)) => out,
-            Ok(Err(e)) => return Err(CliError::Gate(format!("reference soak run failed: {e}"))),
-            Err(payload) => {
-                return Err(CliError::Gate(format!(
-                    "reference soak run panicked: {}",
-                    panic_text(payload)
-                )))
-            }
-        };
-    let audit = reference
-        .metrics
-        .audit
-        .clone()
-        .ok_or_else(|| CliError::Gate("soak run carried no audit report".into()))?;
-    let ov = reference
-        .metrics
-        .overload
-        .clone()
-        .ok_or_else(|| CliError::Gate("soak run carried no overload stats".into()))?;
+    let ref_dir = work.fresh("reference");
+    let reference = harness::serve("reference soak run", || serve(&DurableConfig::at(&ref_dir)))?;
+    let (Some(audit), Some(ov)) = (&reference.metrics.audit, &reference.metrics.overload) else {
+        return Err(CliError::Gate("soak run carried no audit report or overload stats".into()));
+    };
     println!(
         "reference  : utility {:.4}, {} checks, {} deep audits, {} violations, {} repairs",
         reference.metrics.total_utility,
@@ -234,57 +135,38 @@ pub fn cmd_soak(args: &Args) -> Result<(), CliError> {
         audit.violations.len(),
         audit.repairs.len()
     );
-    for (label, n) in violation_histogram(&audit) {
+    for (label, n) in violation_histogram(audit) {
         println!("  caught   : {n} x {label}");
     }
 
-    // Crash soak: the same schedule killed at each seeded point must
-    // come back bit-identical to the uninterrupted reference.
+    // Crash soak: crash-test's table on this stack. A recovered run
+    // must also have repaired every violation its own audits caught.
     let batches: Vec<usize> = spiked.days.iter().map(|d| d.len()).collect();
     let schedule = seeded_schedule(crash_seed, &batches, crash_points);
-    let mut crash_failures: Vec<String> = Vec::new();
-    let mut escaped_panics: Vec<String> = Vec::new();
-    for (i, point) in schedule.iter().enumerate() {
-        let dir = root.join(format!("point-{i:02}"));
-        std::fs::remove_dir_all(&dir).ok();
-        let mut dcfg = DurableConfig::at(&dir);
-        dcfg.crash = Some(*point);
-        let verdict = match expect_injected_crash(|| run_at(&dcfg)) {
-            Err(why) => Err(why),
-            Ok(payload) => {
-                if !payload.contains("injected crash") {
-                    escaped_panics.push(format!("{}: {payload}", point.label()));
-                }
-                dcfg.crash = None;
-                match run_at(&dcfg) {
-                    Err(e) => Err(format!("recovery failed: {e}")),
-                    Ok(out) => check_crash_recovery(&reference, &out),
-                }
-            }
-        };
-        match verdict {
-            Ok(()) => {
-                println!("crash {:>2}/{crash_points} {:<28} OK", i + 1, point.label());
-                if !keep_artifacts {
-                    std::fs::remove_dir_all(&dir).ok();
-                }
-            }
-            Err(why) => {
-                println!("crash {:>2}/{crash_points} {:<28} FAIL {why}", i + 1, point.label());
-                crash_failures.push(format!("{}: {why}", point.label()));
-            }
+    let crashes = crash_table(&work, "crash", &schedule, &serve, &reference, |out| {
+        match &out.metrics.audit {
+            None => Err("recovered run carried no audit report".into()),
+            Some(a) if !a.fully_repaired() => Err(format!(
+                "recovered run left {} brokers quarantined",
+                a.quarantined_at_end.len()
+            )),
+            Some(_) => Ok(()),
         }
-    }
+    });
 
-    // Storage-fault leg: the durable loop on an injected flaky disk
-    // must keep serving bit-identically with exact degraded-mode
-    // accounting. The soak's own schedule can include state corruption
-    // (whose repair reads the store), so this leg runs a corruption-free
-    // plan — the disk is the fault under test here.
-    let storage_leg = run_storage_leg(&base, &cfg, &rcfg, fault_seed, &root, keep_artifacts);
+    // Storage leg: one storage-chaos schedule case on a flaky disk. The
+    // soak's own schedule can include state corruption (whose repair
+    // reads the store), so this leg runs a corruption-free plan — the
+    // disk is the fault under test here.
+    let storage = storage_leg(&base, &cfg, &rcfg, fault_seed, &work);
+    let mut escaped = crashes.escaped.clone();
+    if let Err(Fail::Panic(text)) = &storage {
+        escaped.push(format!("storage leg: {text}"));
+    }
 
     let goodput = if ov.offered > 0 { ov.served as f64 / ov.offered as f64 } else { 0.0 };
     let primary_panics = reference.metrics.resilience.as_ref().map_or(0, |s| s.primary_panics);
+    let crash_failures = crashes.failed.len();
     let gates = [
         Gate {
             name: "audits-ran",
@@ -322,215 +204,104 @@ pub fn cmd_soak(args: &Args) -> Result<(), CliError> {
                 if ov.accounting_balanced() { "balanced" } else { "UNBALANCED" }
             ),
         },
-        Gate {
-            name: "crash-recovery",
-            pass: crash_failures.is_empty(),
-            detail: match crash_failures.first() {
-                None => format!("{crash_points}/{crash_points} points bit-identical"),
-                Some(first) => {
-                    format!("{}/{crash_points} points failed; first: {first}", crash_failures.len())
-                }
-            },
-        },
+        crashes.gate(
+            "crash-recovery",
+            crash_points,
+            "points",
+            format!("{crash_points}/{crash_points} points bit-identical"),
+        ),
         Gate {
             name: "storage-faults",
-            pass: storage_leg.is_ok(),
-            detail: match &storage_leg {
+            pass: storage.is_ok(),
+            detail: match &storage {
                 Ok(detail) => detail.clone(),
-                Err(why) => why.clone(),
+                Err(why) => why.to_string(),
             },
         },
-        Gate {
-            name: "zero-escaped-panics",
-            pass: escaped_panics.is_empty(),
-            detail: match escaped_panics.first() {
-                None => format!(
-                    "none escaped ({primary_panics} injected panics absorbed by the ladder)"
-                ),
-                Some(first) => format!("{} escaped; first: {first}", escaped_panics.len()),
-            },
-        },
+        escaped_gate(
+            &escaped,
+            format!("none escaped ({primary_panics} injected panics absorbed by the ladder)"),
+        ),
     ];
 
-    let mut failures = 0usize;
-    for g in &gates {
-        if !g.pass {
-            failures += 1;
-        }
-        println!("gate {:<19} {}  {}", g.name, if g.pass { "PASS" } else { "FAIL" }, g.detail);
-    }
-    let verdict = if failures == 0 { "PASS" } else { "FAIL" };
-    println!(
-        "soak summary: {verdict} ({}/{} gates), {} violations / {} repairs, goodput {:.1}%, {} crash points",
-        gates.len() - failures,
-        gates.len(),
-        audit.violations.len(),
-        audit.repairs.len(),
-        goodput * 100.0,
-        crash_points
-    );
-
-    if let Some(path) = args.get("out") {
-        let report = render_json(
-            scenario,
-            &stages,
-            &inj,
-            &audit,
-            goodput,
-            &gates,
-            crash_points,
-            &crash_failures,
-            verdict,
-        );
-        std::fs::write(path, report).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("report     : {path}");
-    }
-    if !keep_artifacts {
-        std::fs::remove_dir_all(&ref_dir).ok();
-        std::fs::remove_dir(&root).ok();
-    }
-    if failures > 0 {
-        return Err(CliError::Gate(format!("{failures}/{} soak gates failed", gates.len())));
-    }
-    Ok(())
+    let hist = violation_histogram(audit);
+    let by_invariant: Vec<(&str, &dyn Display)> =
+        hist.iter().map(|(label, n)| (*label, n as &dyn Display)).collect();
+    work.finish();
+    harness::conclude(
+        args,
+        "soak",
+        19,
+        &gates,
+        &format!(
+            "{} violations / {} repairs, goodput {:.1}%, {crash_points} crash points",
+            audit.violations.len(),
+            audit.repairs.len(),
+            goodput * 100.0
+        ),
+        &[
+            ("scenario", &quote(scenario)),
+            ("stages", &format!("{stages:?}")),
+            (
+                "injections",
+                &obj(&[
+                    ("bit_flips", &inj.bit_flips),
+                    ("nan_writes", &inj.nan_writes),
+                    ("overflow_writes", &inj.overflow_writes),
+                    ("batch_replays", &inj.batch_replays),
+                ]),
+            ),
+            (
+                "audit",
+                &obj(&[
+                    ("checks", &audit.checks),
+                    ("deep_audits", &audit.deep_audits),
+                    ("violations", &audit.violations.len()),
+                    ("repairs", &audit.repairs.len()),
+                    ("quarantined_at_end", &audit.quarantined_at_end.len()),
+                    ("by_invariant", &obj(&by_invariant)),
+                ]),
+            ),
+            ("goodput", &format!("{goodput:.4}")),
+            (
+                "crash",
+                &obj(&[("points", &crash_points), ("recovered", &(crash_points - crash_failures))]),
+            ),
+        ],
+    )
 }
 
-/// The storage leg of the soak: one clean-disk reference and one run on
-/// a seeded flaky disk (the `storage-chaos` scenario), gating on exact
-/// replay-buffer accounting and bit-identical serving. `Ok` carries the
-/// human detail for the gate line, `Err` the first failure.
-fn run_storage_leg(
+/// The soak's storage leg: a clean-disk reference and one storage-chaos
+/// schedule case (`storage-chaos` scenario) against it. `Ok` carries
+/// the detail for the gate line.
+fn storage_leg(
     base: &Dataset,
     cfg: &LacbConfig,
     rcfg: &ResilienceConfig,
     fault_seed: u64,
-    root: &Path,
-    keep_artifacts: bool,
-) -> Result<String, String> {
+    work: &WorkDir,
+) -> Result<String, Fail> {
     let plan = FaultPlan::new(
         FaultConfig::scenario("broker-dropout+lost-feedback", fault_seed)
             .expect("built-in scenario"),
     );
-    let ref_dir = root.join("storage-reference");
-    let faulty_dir = root.join("storage-faulty");
-    std::fs::remove_dir_all(&ref_dir).ok();
-    std::fs::remove_dir_all(&faulty_dir).ok();
-    let reference =
-        run_durable(base, cfg.clone(), rcfg.clone(), plan, &DurableConfig::at(&ref_dir))
-            .map_err(|e| format!("clean-disk reference failed: {e}"))?;
+    let serve = |dcfg: &DurableConfig| run_durable(base, cfg.clone(), rcfg.clone(), plan, dcfg);
+    let ref_dir = work.fresh("storage-reference");
+    let reference = harness::serve("clean-disk reference", || serve(&DurableConfig::at(&ref_dir)))?;
     let scfg = StorageFaultConfig::scenario("storage-chaos", fault_seed.wrapping_add(0xA5))
         .expect("built-in scenario");
-    let fvfs = Arc::new(FaultVfs::new(scfg));
-    let dcfg = DurableConfig::at(&faulty_dir)
-        .with_vfs(fvfs.clone())
-        .with_storage(StorageConfig::default());
-    let out = run_durable(base, cfg.clone(), rcfg.clone(), plan, &dcfg)
-        .map_err(|e| format!("faulty-disk run aborted with a typed error: {e}"))?;
-    let stats = out.metrics.storage.clone().ok_or("faulty-disk run carried no storage stats")?;
-    if !stats.accounting_balanced() {
-        return Err(format!(
-            "replay-buffer accounting unbalanced: {} total != {} final + {} dropped + {} covered",
-            stats.buffered_total,
-            stats.buffered_final,
-            stats.dropped_overflow,
-            stats.covered_by_resync
-        ));
-    }
-    if let Some(diff) = diff_runs(&reference.metrics, &out.metrics) {
-        return Err(format!("serving diverged under storage faults: {diff}"));
-    }
-    if out.final_state != reference.final_state {
-        return Err("learned state diverged under storage faults".into());
-    }
-    if !keep_artifacts {
-        std::fs::remove_dir_all(&ref_dir).ok();
-        std::fs::remove_dir_all(&faulty_dir).ok();
-    }
+    let dir = work.fresh("storage-faulty");
+    let out = durable_case(&serve, &reference, &dir, Some(scfg), None)?;
+    let stats = out.stats.unwrap_or_default();
+    work.discard(&ref_dir);
+    work.discard(&dir);
     Ok(format!(
         "{} vfs faults injected, {} reached the guard, {} resyncs, final {}",
-        fvfs.census().total(),
+        out.injected,
         stats.faults,
         stats.resyncs_completed,
         stats.final_mode.label()
     ))
-}
-
-/// A recovered run must match the uninterrupted reference bit for bit —
-/// metrics, learned state, overload accounting — and its own audit
-/// trail must be fully repaired.
-fn check_crash_recovery(reference: &DurableOutcome, out: &DurableOutcome) -> Result<(), String> {
-    if let Some(diff) = diff_runs(&reference.metrics, &out.metrics) {
-        return Err(format!("metrics diverged: {diff}"));
-    }
-    if out.final_state != reference.final_state {
-        return Err("learned state diverged".into());
-    }
-    if out.metrics.overload != reference.metrics.overload {
-        return Err("overload accounting diverged".into());
-    }
-    match &out.metrics.audit {
-        None => Err("recovered run carried no audit report".into()),
-        Some(a) if !a.fully_repaired() => {
-            Err(format!("recovered run left {} brokers quarantined", a.quarantined_at_end.len()))
-        }
-        Some(_) => Ok(()),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn render_json(
-    scenario: &str,
-    stages: &[u32],
-    inj: &InjectionCensus,
-    audit: &AuditReport,
-    goodput: f64,
-    gates: &[Gate],
-    crash_points: usize,
-    crash_failures: &[String],
-    verdict: &str,
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"scenario\": \"{scenario}\",\n"));
-    out.push_str(&format!("  \"stages\": {stages:?},\n"));
-    out.push_str(&format!(
-        "  \"injections\": {{\"bit_flips\": {}, \"nan_writes\": {}, \"overflow_writes\": {}, \
-         \"batch_replays\": {}}},\n",
-        inj.bit_flips, inj.nan_writes, inj.overflow_writes, inj.batch_replays
-    ));
-    out.push_str(&format!(
-        "  \"audit\": {{\"checks\": {}, \"deep_audits\": {}, \"violations\": {}, \"repairs\": {}, \
-         \"quarantined_at_end\": {}, \"by_invariant\": {{",
-        audit.checks,
-        audit.deep_audits,
-        audit.violations.len(),
-        audit.repairs.len(),
-        audit.quarantined_at_end.len()
-    ));
-    let hist = violation_histogram(audit);
-    for (i, (label, n)) in hist.iter().enumerate() {
-        out.push_str(&format!("\"{label}\": {n}{}", if i + 1 == hist.len() { "" } else { ", " }));
-    }
-    out.push_str("}},\n");
-    out.push_str(&format!("  \"goodput\": {goodput:.4},\n"));
-    out.push_str(&format!(
-        "  \"crash\": {{\"points\": {crash_points}, \"recovered\": {}}},\n",
-        crash_points - crash_failures.len()
-    ));
-    out.push_str("  \"gates\": [\n");
-    for (i, g) in gates.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"pass\": {}, \"detail\": \"{}\"}}{}\n",
-            g.name,
-            g.pass,
-            g.detail.replace('\\', "\\\\").replace('"', "\\\""),
-            if i + 1 == gates.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!("  \"verdict\": \"{verdict}\"\n"));
-    out.push_str("}\n");
-    out
 }
 
 #[cfg(test)]
@@ -564,29 +335,5 @@ mod tests {
         // auditor must have seen it.
         assert!(text.contains("\"nan_writes\""), "report:\n{text}");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn impossible_goodput_floor_is_a_gate_failure() {
-        let dir = std::env::temp_dir().join("caam-soak-floor-test");
-        std::fs::remove_dir_all(&dir).ok();
-        let args = Args::parse(&argv(&format!(
-            "--quick --brokers 12 --requests 150 --days 2 --stages 1,2 --crash-points 1 \
-             --goodput-floor 2.0 --dir {}",
-            dir.display()
-        )))
-        .unwrap();
-        let err = cmd_soak(&args).unwrap_err();
-        assert!(matches!(err, CliError::Gate(_)), "got {err:?}");
-        assert!(err.to_string().contains("soak gates failed"), "got {err}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn unknown_scenario_is_a_usage_error() {
-        let args = Args::parse(&argv("--scenario nope")).unwrap();
-        let err = cmd_soak(&args).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)), "got {err:?}");
-        assert!(err.to_string().contains("unknown fault scenario"), "got {err}");
     }
 }

@@ -21,8 +21,9 @@
 //! A second phase composes process crashes *with* storage faults: each
 //! seeded crash point is armed on a faulty disk. A degraded run may
 //! legally never reach the crash window (no WAL handle → no torn
-//! append), so a non-firing crash counts as absorbed; a crash that does
-//! fire must recover bit-identically on a clean disk.
+//! append), so a non-firing crash counts as absorbed and the run must
+//! pass the phase-1 gates; a crash that does fire must recover
+//! bit-identically on a clean disk.
 //!
 //! Coverage gates keep the harness honest: across all seeds the
 //! schedules must actually inject faults, and at least one run must
@@ -33,64 +34,30 @@
 
 use crate::args::Args;
 use crate::commands::CliError;
-use crate::crash_test::diff_runs;
-use crate::soak::{panic_text, QuietPanics};
-use lacb::supervisor::{run_durable, DurableConfig, DurableOutcome};
-use lacb::{LacbConfig, ResilienceConfig, StorageConfig};
-use platform_sim::{
-    seeded_schedule, Dataset, FaultConfig, FaultPlan, FaultVfs, StorageFaultConfig, StorageMode,
-    StorageStats, SyntheticConfig,
-};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
-use std::sync::Arc;
-
-/// One gate check: name, verdict, human detail.
-struct Gate {
-    name: &'static str,
-    pass: bool,
-    detail: String,
-}
-
-/// What one seeded fault schedule did to the run — kept for the
-/// coverage gates and the JSON report.
-struct SeedOutcome {
-    injected: u64,
-    stats: StorageStats,
-}
+use crate::harness::{self, durable_case, escaped_gate, obj, quote, Gate, Tally, WorkDir};
+use lacb::supervisor::{run_durable, DurableConfig};
+use lacb::ResilienceConfig;
+use platform_sim::{seeded_schedule, StorageFaultConfig, StorageMode, StorageStats};
 
 pub fn cmd_storage_chaos(args: &Args) -> Result<(), CliError> {
     let quick = args.has("quick");
-    let ds = Dataset::synthetic(&SyntheticConfig {
-        num_brokers: args.get_or("brokers", if quick { 12 } else { 24 })?,
-        num_requests: args.get_or("requests", if quick { 180 } else { 360 })?,
-        days: args.get_or("days", 3)?,
-        imbalance: args.get_or("sigma", 0.25)?,
-        seed: args.get_or("seed", 7)?,
-    });
+    let (_, ds, cfg) =
+        harness::world(args, if quick { 12 } else { 24 }, if quick { 180 } else { 360 }, 3)?;
+    let (fault_scenario, fault_seed, plan) =
+        harness::fault_plan(args, "broker-dropout+lost-feedback")?;
     let storage_scenario = args.get("storage-scenario").unwrap_or("storage-chaos");
-    let fault_scenario = args.get("scenario").unwrap_or("broker-dropout+lost-feedback");
     let storage_seed: u64 = args.get_or("storage-seed", 41)?;
-    let fault_seed: u64 = args.get_or("fault-seed", 13)?;
     let crash_seed: u64 = args.get_or("crash-seed", 29)?;
     // The acceptance bar is >= 20 seeded schedules; --quick shrinks the
     // dataset, never the schedule count.
-    let seeds: usize = args.get_or("seeds", 20)?;
-    let crash_points: usize = args.get_or("crash-points", if quick { 3 } else { 6 })?;
-    let seed: u64 = args.get_or("seed", 7)?;
-    let keep_artifacts = args.has("keep-artifacts");
-    let root: PathBuf = match args.get("dir") {
-        Some(d) => PathBuf::from(d),
-        None => std::env::temp_dir().join(format!("caam-storage-chaos-{storage_seed}")),
-    };
+    let seeds = harness::table_size(args, "seeds", 20)?;
+    let crash_points = harness::table_size(args, "crash-points", if quick { 3 } else { 6 })?;
+    let work = WorkDir::new(args, &format!("caam-storage-chaos-{storage_seed}"));
     // Validate the scenario name up front (usage error, not a gate
-    // failure); per-seed configs re-derive with shifted seeds.
-    StorageFaultConfig::scenario(storage_scenario, storage_seed)
+    // failure); each schedule reseeds it.
+    let scenario_cfg = StorageFaultConfig::scenario(storage_scenario, storage_seed)
         .map_err(|e| format!("--storage-scenario: {e}"))?;
-    let fault_cfg = FaultConfig::scenario(fault_scenario, fault_seed)
-        .map_err(|e| format!("--scenario: {e}"))?;
-    let plan = FaultPlan::new(fault_cfg);
-    let cfg = LacbConfig { seed, ..LacbConfig::opt() };
+    let schedule_cfg = |seed: u64| StorageFaultConfig { seed, ..scenario_cfg };
     let rcfg = ResilienceConfig::default();
     let num_brokers = ds.brokers.len();
 
@@ -116,25 +83,10 @@ pub fn cmd_storage_chaos(args: &Args) -> Result<(), CliError> {
     println!("faults     : {fault_scenario} (fault seed {fault_seed})");
     println!("storage    : {storage_scenario} x {seeds} schedules (storage seed {storage_seed})");
 
-    // Silence absorbed-by-design panics for the rest of the harness;
-    // anything else still prints and fails the zero-escaped-panics gate.
-    let _quiet = QuietPanics::install();
-
     // Reference: the same horizon on a clean disk, uninterrupted.
-    let ref_dir = root.join("reference");
-    std::fs::remove_dir_all(&ref_dir).ok();
-    let reference: DurableOutcome = match catch_unwind(AssertUnwindSafe(|| {
-        run_durable(&ds, cfg.clone(), rcfg.clone(), plan, &DurableConfig::at(&ref_dir))
-    })) {
-        Ok(Ok(out)) => out,
-        Ok(Err(e)) => return Err(CliError::Gate(format!("clean reference run failed: {e}"))),
-        Err(payload) => {
-            return Err(CliError::Gate(format!(
-                "clean reference run panicked: {}",
-                panic_text(payload)
-            )))
-        }
-    };
+    let serve = |dcfg: &DurableConfig| run_durable(&ds, cfg.clone(), rcfg.clone(), plan, dcfg);
+    let ref_dir = work.fresh("reference");
+    let reference = harness::serve("clean reference run", || serve(&DurableConfig::at(&ref_dir)))?;
     println!(
         "reference  : total utility {:.4}, {} days",
         reference.metrics.total_utility,
@@ -143,146 +95,61 @@ pub fn cmd_storage_chaos(args: &Args) -> Result<(), CliError> {
 
     // Phase 1: one full run per seeded fault schedule, then a clean
     // recovery pass over whatever the chaos left on disk.
-    let mut outcomes: Vec<SeedOutcome> = Vec::new();
-    let mut seed_failures: Vec<String> = Vec::new();
-    let mut escaped_panics: Vec<String> = Vec::new();
+    let mut outcomes: Vec<(u64, StorageStats)> = Vec::new();
+    let mut schedules = Tally::default();
     for i in 0..seeds {
-        let schedule_seed = storage_seed.wrapping_add(i as u64);
-        let scfg = StorageFaultConfig::scenario(storage_scenario, schedule_seed)
-            .expect("scenario validated above");
-        let fvfs = Arc::new(FaultVfs::new(scfg));
-        let dir = root.join(format!("seed-{i:02}"));
-        std::fs::remove_dir_all(&dir).ok();
-        let dcfg =
-            DurableConfig::at(&dir).with_vfs(fvfs.clone()).with_storage(StorageConfig::default());
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            run_durable(&ds, cfg.clone(), rcfg.clone(), plan, &dcfg)
-        }));
-        let verdict = match run {
-            Err(payload) => {
-                let text = panic_text(payload);
-                escaped_panics.push(format!("seed {i}: {text}"));
-                Err(format!("panicked: {text}"))
-            }
-            Ok(Err(e)) => Err(format!("aborted with a typed error despite the guard: {e}")),
-            Ok(Ok(out)) => check_faulty_run(&reference, &out).and_then(|stats| {
-                // Whatever survived on disk must restore: a clean-disk
-                // re-run over the same dir recovers and finishes
-                // bit-identical to the reference.
-                let clean =
-                    run_durable(&ds, cfg.clone(), rcfg.clone(), plan, &DurableConfig::at(&dir))
-                        .map_err(|e| format!("clean recovery over the chaos dir failed: {e}"))?;
-                if let Some(diff) = diff_runs(&reference.metrics, &clean.metrics) {
-                    return Err(format!("clean recovery diverged: {diff}"));
-                }
-                if clean.final_state != reference.final_state {
-                    return Err("clean recovery: learned state diverged".into());
-                }
-                Ok(stats)
-            }),
-        };
-        match verdict {
-            Ok(stats) => {
-                println!(
-                    "seed {i:>2}/{seeds} OK    {:>3} injected, {:>2} faults, {} resyncs, final {}",
-                    fvfs.census().total(),
-                    stats.faults,
-                    stats.resyncs_completed,
-                    stats.final_mode.label()
-                );
-                outcomes.push(SeedOutcome { injected: fvfs.census().total(), stats });
-                if !keep_artifacts {
-                    std::fs::remove_dir_all(&dir).ok();
-                }
-            }
-            Err(why) => {
-                println!("seed {i:>2}/{seeds} FAIL  {why}");
-                println!("  artifacts kept at {}", dir.display());
-                seed_failures.push(format!("seed {i}: {why}"));
-            }
-        }
+        let dir = work.fresh(&format!("seed-{i:02}"));
+        let scfg = schedule_cfg(storage_seed.wrapping_add(i as u64));
+        let verdict = durable_case(&serve, &reference, &dir, Some(scfg), None).map(|out| {
+            let stats = out.stats.unwrap_or_default();
+            let detail = format!(
+                "  {:>3} injected, {:>2} faults, {} resyncs, final {}",
+                out.injected,
+                stats.faults,
+                stats.resyncs_completed,
+                stats.final_mode.label()
+            );
+            outcomes.push((out.injected, stats));
+            detail
+        });
+        work.settle(&format!("seed {i:>2}/{seeds}"), &dir, verdict, &mut schedules);
     }
 
     // Phase 2: process crashes composed with storage faults. A crash
-    // point armed while the run is degraded may never fire (no WAL
-    // handle → no torn-append window); that is the designed behaviour
-    // and counts as absorbed, but the run must then pass the phase-1
-    // gates. A crash that fires must recover cleanly.
+    // point armed while the run is degraded may never fire; that is the
+    // designed behaviour and counts as absorbed.
     let batches: Vec<usize> = spiked.days.iter().map(|d| d.len()).collect();
     let schedule = seeded_schedule(crash_seed, &batches, crash_points);
-    let mut crash_failures: Vec<String> = Vec::new();
+    let mut crashes = Tally::default();
     let mut crashes_fired = 0usize;
     for (i, point) in schedule.iter().enumerate() {
-        let schedule_seed = storage_seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_add(i as u64);
-        let scfg = StorageFaultConfig::scenario(storage_scenario, schedule_seed)
-            .expect("scenario validated above");
-        let dir = root.join(format!("crash-{i:02}"));
-        std::fs::remove_dir_all(&dir).ok();
-        let mut dcfg = DurableConfig::at(&dir)
-            .with_vfs(Arc::new(FaultVfs::new(scfg)))
-            .with_storage(StorageConfig::default());
-        dcfg.crash = Some(*point);
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            run_durable(&ds, cfg.clone(), rcfg.clone(), plan, &dcfg)
-        }));
-        let verdict = match run {
-            Err(payload) => {
-                let text = panic_text(payload);
-                if text.contains("injected crash") {
-                    crashes_fired += 1;
-                    // The crash fired on a faulty disk; recovery runs
-                    // on a clean one and must still converge.
-                    run_durable(&ds, cfg.clone(), rcfg.clone(), plan, &DurableConfig::at(&dir))
-                        .map_err(|e| format!("recovery after crash failed: {e}"))
-                        .and_then(|out| match diff_runs(&reference.metrics, &out.metrics) {
-                            Some(diff) => Err(format!("recovery diverged: {diff}")),
-                            None if out.final_state != reference.final_state => {
-                                Err("recovery: learned state diverged".into())
-                            }
-                            None => Ok("fired, recovered bit-identically".to_string()),
-                        })
-                } else {
-                    escaped_panics.push(format!("crash point {}: {text}", point.label()));
-                    Err(format!("escaped panic: {text}"))
-                }
+        let dir = work.fresh(&format!("crash-{i:02}"));
+        let scfg = schedule_cfg(storage_seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_add(i as u64));
+        let verdict = durable_case(&serve, &reference, &dir, Some(scfg), Some(*point)).map(|out| {
+            if out.stats.is_some() {
+                return "absorbed (degraded run skipped the crash window)".to_string();
             }
-            // Degraded runs can sail past the crash window; the run
-            // must still pass the storage gates.
-            Ok(Ok(out)) => check_faulty_run(&reference, &out)
-                .map(|_| "absorbed (degraded run skipped the crash window)".to_string()),
-            Ok(Err(e)) => Err(format!("aborted with a typed error despite the guard: {e}")),
-        };
-        match verdict {
-            Ok(detail) => {
-                println!("crash {:>2}/{crash_points} {:<28} OK  {detail}", i + 1, point.label());
-                if !keep_artifacts {
-                    std::fs::remove_dir_all(&dir).ok();
-                }
-            }
-            Err(why) => {
-                println!("crash {:>2}/{crash_points} {:<28} FAIL {why}", i + 1, point.label());
-                println!("  artifacts kept at {}", dir.display());
-                crash_failures.push(format!("{}: {why}", point.label()));
-            }
-        }
+            crashes_fired += 1;
+            "fired, recovered bit-identically".to_string()
+        });
+        let label = format!("crash {:>2}/{crash_points} {:<28}", i + 1, point.label());
+        work.settle(&label, &dir, verdict, &mut crashes);
     }
 
-    let injected_total: u64 = outcomes.iter().map(|o| o.injected).sum();
-    let faults_total: u64 = outcomes.iter().map(|o| o.stats.faults).sum();
-    let resyncs_total: u64 = outcomes.iter().map(|o| o.stats.resyncs_completed).sum();
+    let sum = |f: fn(&StorageStats) -> u64| outcomes.iter().map(|(_, s)| f(s)).sum::<u64>();
+    let injected_total: u64 = outcomes.iter().map(|(injected, _)| injected).sum();
+    let faults_total = sum(|s| s.faults);
+    let resyncs_total = sum(|s| s.resyncs_completed);
     let degraded_finals =
-        outcomes.iter().filter(|o| o.stats.final_mode != StorageMode::Durable).count();
+        outcomes.iter().filter(|(_, s)| s.final_mode != StorageMode::Durable).count();
+    let escaped: Vec<String> = schedules.escaped.iter().chain(&crashes.escaped).cloned().collect();
     let gates = [
-        Gate {
-            name: "storage-tolerance",
-            pass: seed_failures.is_empty(),
-            detail: match seed_failures.first() {
-                None => format!("{seeds}/{seeds} schedules served bit-identically and restored"),
-                Some(first) => {
-                    format!("{}/{seeds} schedules failed; first: {first}", seed_failures.len())
-                }
-            },
-        },
+        schedules.gate(
+            "storage-tolerance",
+            seeds,
+            "schedules",
+            format!("{seeds}/{seeds} schedules served bit-identically and restored"),
+        ),
         Gate {
             name: "fault-coverage",
             pass: injected_total > 0 && faults_total > 0,
@@ -297,150 +164,52 @@ pub fn cmd_storage_chaos(args: &Args) -> Result<(), CliError> {
                 "{resyncs_total} resyncs completed, {degraded_finals}/{seeds} runs ended degraded"
             ),
         },
-        Gate {
-            name: "crash-compose",
-            pass: crash_failures.is_empty(),
-            detail: match crash_failures.first() {
-                None => format!(
-                    "{crash_points}/{crash_points} points ok ({crashes_fired} fired, {} absorbed)",
-                    crash_points - crashes_fired
-                ),
-                Some(first) => {
-                    format!("{}/{crash_points} points failed; first: {first}", crash_failures.len())
-                }
-            },
-        },
-        Gate {
-            name: "zero-escaped-panics",
-            pass: escaped_panics.is_empty(),
-            detail: match escaped_panics.first() {
-                None => "none escaped".to_string(),
-                Some(first) => format!("{} escaped; first: {first}", escaped_panics.len()),
-            },
-        },
+        crashes.gate(
+            "crash-compose",
+            crash_points,
+            "points",
+            format!(
+                "{crash_points}/{crash_points} points ok ({crashes_fired} fired, {} absorbed)",
+                crash_points - crashes_fired
+            ),
+        ),
+        escaped_gate(&escaped, "none escaped".into()),
     ];
 
-    let mut failures = 0usize;
-    for g in &gates {
-        if !g.pass {
-            failures += 1;
-        }
-        println!("gate {:<19} {}  {}", g.name, if g.pass { "PASS" } else { "FAIL" }, g.detail);
-    }
-    let verdict = if failures == 0 { "PASS" } else { "FAIL" };
-    println!(
-        "storage-chaos summary: {verdict} ({}/{} gates), {seeds} schedules, {injected_total} \
-         injected faults, {resyncs_total} resyncs, {crash_points} crash points",
-        gates.len() - failures,
-        gates.len()
-    );
-
-    if let Some(path) = args.get("out") {
-        let report = render_json(
-            storage_scenario,
-            fault_scenario,
-            seeds,
-            &outcomes,
-            crash_points,
-            crashes_fired,
-            &crash_failures,
-            &gates,
-            verdict,
-        );
-        std::fs::write(path, report).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("report     : {path}");
-    }
-    if !keep_artifacts {
-        std::fs::remove_dir_all(&ref_dir).ok();
-        std::fs::remove_dir(&root).ok();
-    }
-    if failures > 0 {
-        return Err(CliError::Gate(format!(
-            "{failures}/{} storage-chaos gates failed",
-            gates.len()
-        )));
-    }
-    Ok(())
-}
-
-/// Phase-1 gates for one faulty run: typed storage accounting present
-/// and exactly balanced, and serving bit-identical to the clean-disk
-/// reference. Returns the storage stats for the coverage gates.
-fn check_faulty_run(
-    reference: &DurableOutcome,
-    out: &DurableOutcome,
-) -> Result<StorageStats, String> {
-    let stats = out
-        .metrics
-        .storage
-        .clone()
-        .ok_or("run carried no storage stats despite the guard being on")?;
-    if !stats.accounting_balanced() {
-        return Err(format!(
-            "replay-buffer accounting unbalanced: {} total != {} final + {} dropped + {} covered",
-            stats.buffered_total,
-            stats.buffered_final,
-            stats.dropped_overflow,
-            stats.covered_by_resync
-        ));
-    }
-    if let Some(diff) = diff_runs(&reference.metrics, &out.metrics) {
-        return Err(format!("serving diverged under storage faults: {diff}"));
-    }
-    if out.final_state != reference.final_state {
-        return Err("learned state diverged under storage faults".into());
-    }
-    Ok(stats)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn render_json(
-    storage_scenario: &str,
-    fault_scenario: &str,
-    seeds: usize,
-    outcomes: &[SeedOutcome],
-    crash_points: usize,
-    crashes_fired: usize,
-    crash_failures: &[String],
-    gates: &[Gate],
-    verdict: &str,
-) -> String {
-    let injected: u64 = outcomes.iter().map(|o| o.injected).sum();
-    let faults: u64 = outcomes.iter().map(|o| o.stats.faults).sum();
-    let resyncs: u64 = outcomes.iter().map(|o| o.stats.resyncs_completed).sum();
-    let degraded_entries: u64 = outcomes.iter().map(|o| o.stats.degraded_entries).sum();
-    let dropped: u64 = outcomes.iter().map(|o| o.stats.dropped_overflow).sum();
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"storage_scenario\": \"{storage_scenario}\",\n"));
-    out.push_str(&format!("  \"fault_scenario\": \"{fault_scenario}\",\n"));
-    out.push_str(&format!(
-        "  \"schedules\": {{\"requested\": {seeds}, \"passed\": {}}},\n",
-        outcomes.len()
-    ));
-    out.push_str(&format!(
-        "  \"storage\": {{\"injected\": {injected}, \"guard_faults\": {faults}, \
-         \"degraded_entries\": {degraded_entries}, \"resyncs_completed\": {resyncs}, \
-         \"dropped_overflow\": {dropped}}},\n"
-    ));
-    out.push_str(&format!(
-        "  \"crash\": {{\"points\": {crash_points}, \"fired\": {crashes_fired}, \"recovered\": {}}},\n",
-        crash_points - crash_failures.len()
-    ));
-    out.push_str("  \"gates\": [\n");
-    for (i, g) in gates.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"pass\": {}, \"detail\": \"{}\"}}{}\n",
-            g.name,
-            g.pass,
-            g.detail.replace('\\', "\\\\").replace('"', "\\\""),
-            if i + 1 == gates.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!("  \"verdict\": \"{verdict}\"\n"));
-    out.push_str("}\n");
-    out
+    work.finish();
+    harness::conclude(
+        args,
+        "storage-chaos",
+        19,
+        &gates,
+        &format!(
+            "{seeds} schedules, {injected_total} injected faults, {resyncs_total} resyncs, \
+             {crash_points} crash points"
+        ),
+        &[
+            ("storage_scenario", &quote(storage_scenario)),
+            ("fault_scenario", &quote(fault_scenario)),
+            ("schedules", &obj(&[("requested", &seeds), ("passed", &outcomes.len())])),
+            (
+                "storage",
+                &obj(&[
+                    ("injected", &injected_total),
+                    ("guard_faults", &faults_total),
+                    ("degraded_entries", &sum(|s| s.degraded_entries)),
+                    ("resyncs_completed", &resyncs_total),
+                    ("dropped_overflow", &sum(|s| s.dropped_overflow)),
+                ]),
+            ),
+            (
+                "crash",
+                &obj(&[
+                    ("points", &crash_points),
+                    ("fired", &crashes_fired),
+                    ("recovered", &(crash_points - crashes.failed.len())),
+                ]),
+            ),
+        ],
+    )
 }
 
 #[cfg(test)]
@@ -473,21 +242,5 @@ mod tests {
         );
         assert!(text.contains("\"name\": \"resync-liveness\", \"pass\": true"), "report:\n{text}");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn unknown_storage_scenario_is_a_usage_error() {
-        let args = Args::parse(&argv("--storage-scenario nope")).unwrap();
-        let err = cmd_storage_chaos(&args).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)), "got {err:?}");
-        assert!(err.to_string().contains("unknown storage scenario"), "got {err}");
-    }
-
-    #[test]
-    fn state_corrupting_plans_are_rejected() {
-        let args = Args::parse(&argv("--scenario state-corruption")).unwrap();
-        let err = cmd_storage_chaos(&args).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)), "got {err:?}");
-        assert!(err.to_string().contains("corruption-free"), "got {err}");
     }
 }

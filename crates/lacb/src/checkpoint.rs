@@ -868,7 +868,7 @@ mod tests {
     use super::*;
     use crate::resilient::run_chaos;
     use crate::runner::RunConfig;
-    use crate::testkit::{chaos_plan, dataset};
+    use crate::testkit::{assert_bit_identical, chaos_plan, dataset};
     use platform_sim::SyntheticConfig;
 
     #[test]
@@ -885,20 +885,9 @@ mod tests {
         let reloaded = Checkpoint::from_text(ckpt.as_text()).unwrap();
         let resumed = resume_chaos(&ds, &reloaded, cfg, ResilienceConfig::default(), plan).unwrap();
 
-        assert_eq!(
-            uninterrupted.total_utility.to_bits(),
-            resumed.total_utility.to_bits(),
-            "restored run must match uninterrupted: {} vs {}",
-            uninterrupted.total_utility,
-            resumed.total_utility
-        );
-        assert_eq!(uninterrupted.daily_utility.len(), resumed.daily_utility.len());
-        for (a, b) in uninterrupted.daily_utility.iter().zip(&resumed.daily_utility) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        let su = uninterrupted.resilience.unwrap();
-        let sr = resumed.resilience.unwrap();
-        assert_eq!(su, sr, "degradation counters must survive the restore");
+        // Degradation counters ride `resilience`: they must survive the
+        // restore too.
+        assert_bit_identical(&resumed, &uninterrupted);
     }
 
     #[test]

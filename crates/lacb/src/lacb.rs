@@ -6,10 +6,10 @@ use crate::audit::{self, AuditConfig, Auditor};
 use crate::value_function::ValueFunction;
 use bandit::{CandidateCapacities, NnUcbConfig, PersonalizedEstimator, ShrinkageEstimator};
 use linalg::InverseTracker;
-use matching::cbs::{candidate_union_seeded_with, fused_score_select, FusedScratch};
+use matching::cbs::{candidate_union_seeded_with, fused_score_select, FusedBuffers};
 use matching::greedy::greedy_assignment;
 use matching::hungarian::{CertifyMode, KmSolver, MatchingError, SANITIZED_UTILITY};
-use matching::{MatchMode, SparseUtility, UtilityMatrix};
+use matching::{MatchMode, UtilityMatrix};
 use platform_sim::{
     AuditReport, DayFeedback, InvariantKind, Platform, RepairKind, Request, StageBreakdown,
     StateFault, StateFaultKind, StateTarget, STATUS_DIM,
@@ -237,13 +237,11 @@ pub struct Lacb {
     full_buf: UtilityMatrix,
     reduced_buf: UtilityMatrix,
     pruned_buf: UtilityMatrix,
-    /// Sparse fast-path buffers reused across batches (§16): fused
-    /// kernel scratch, the CSR candidate graph, the candidate-union
-    /// column ids (indices into today's available set), and the
+    /// Sparse fast-path buffers reused across batches (§16): the fused
+    /// kernel's buffers (the CSR candidate graph and the candidate-union
+    /// column ids, indices into today's available set), and the
     /// per-available-column value refinements. All derived state.
-    fused_scratch: FusedScratch,
-    csr_buf: SparseUtility,
-    union_buf: Vec<usize>,
+    fused: FusedBuffers,
     adj_buf: Vec<f64>,
     /// Runtime invariant audits and per-broker quarantine (§12).
     auditor: Auditor,
@@ -275,9 +273,7 @@ impl Lacb {
             full_buf: UtilityMatrix::zeros(0, 0),
             reduced_buf: UtilityMatrix::zeros(0, 0),
             pruned_buf: UtilityMatrix::zeros(0, 0),
-            fused_scratch: FusedScratch::default(),
-            csr_buf: SparseUtility::new(),
-            union_buf: Vec::new(),
+            fused: FusedBuffers::default(),
             adj_buf: Vec::new(),
             auditor,
             breakdown: StageBreakdown::default(),
@@ -501,9 +497,7 @@ impl Lacb {
             full_buf: UtilityMatrix::zeros(0, 0),
             reduced_buf: UtilityMatrix::zeros(0, 0),
             pruned_buf: UtilityMatrix::zeros(0, 0),
-            fused_scratch: FusedScratch::default(),
-            csr_buf: SparseUtility::new(),
-            union_buf: Vec::new(),
+            fused: FusedBuffers::default(),
             adj_buf: Vec::new(),
             auditor,
             breakdown: StageBreakdown::default(),
@@ -928,9 +922,7 @@ impl Lacb {
             }
         }
         let k = MatchMode::Full.candidate_budget(requests.len());
-        let mut scratch = std::mem::take(&mut self.fused_scratch);
-        let mut csr = std::mem::take(&mut self.csr_buf);
-        let mut union_cols = std::mem::take(&mut self.union_buf);
+        let mut fused = std::mem::take(&mut self.fused);
         let t_build = Instant::now();
         {
             let adj = &adj;
@@ -943,18 +935,16 @@ impl Lacb {
                 }
             };
             fused_score_select(
-                requests.len(),
-                available.len(),
+                (requests.len(), available.len()),
                 k,
                 batch_seed,
                 self.cfg.n_threads,
                 self.cfg.parallel_cutoff,
                 &score,
-                &mut scratch,
-                &mut csr,
-                &mut union_cols,
+                &mut fused,
             );
         }
+        let FusedBuffers { csr, union: union_cols, .. } = &fused;
         self.breakdown.sparse_build_secs += t_build.elapsed().as_secs_f64();
         self.breakdown.sparse_rows += csr.rows() as u64;
         self.breakdown.sparse_edges += csr.nnz() as u64;
@@ -967,7 +957,7 @@ impl Lacb {
         let t_km = Instant::now();
         let mut sparse_result = None;
         if self.cfg.sparse_assignment == SparseMode::On && csr.rows() <= csr.cols() {
-            match self.solver.try_solve_sparse(&csr) {
+            match self.solver.try_solve_sparse(csr) {
                 Ok(r) => sparse_result = Some(r),
                 Err(MatchingError::Infeasible { .. }) => {}
                 Err(e) => panic!("sparse KM solve failed: {e}"),
@@ -976,7 +966,7 @@ impl Lacb {
         let result = match sparse_result {
             Some(r) => {
                 if audit_on {
-                    self.auditor.note_solve_sparse(&csr);
+                    self.auditor.note_solve_sparse(csr);
                 }
                 r
             }
@@ -1014,9 +1004,7 @@ impl Lacb {
                 self.reached_today[b] = true;
             }
         }
-        self.fused_scratch = scratch;
-        self.csr_buf = csr;
-        self.union_buf = union_cols;
+        self.fused = fused;
         self.adj_buf = adj;
         if audit_on {
             self.post_solve_audit(platform, &assignment, audit_batch);

@@ -445,6 +445,7 @@ pub fn run_overload(
 mod tests {
     use super::*;
     use crate::assigner::Assigner;
+    use crate::testkit::assert_bit_identical;
     use platform_sim::{ramp_dataset, FaultConfig, SyntheticConfig};
 
     fn dataset(seed: u64) -> Dataset {
@@ -521,19 +522,16 @@ mod tests {
         let base = dataset(17);
         let ramp = ramp_dataset(&base, &[1, 8], 7);
         let ocfg = OverloadConfig::sized_for(&base);
-        let mut reference: Option<(u64, String, OverloadStats)> = None;
+        let mut reference: Option<OverloadOutcome> = None;
         for n_threads in [1usize, 4] {
             let cfg = LacbConfig { n_threads, ..LacbConfig::default() };
             let out =
                 run_overload(&ramp.dataset, cfg, ResilienceConfig::default(), &ocfg, quiet_plan());
-            let ov = out.metrics.overload.clone().unwrap();
-            let key = (out.metrics.total_utility.to_bits(), out.final_state, ov);
             match &reference {
-                None => reference = Some(key),
+                None => reference = Some(out),
                 Some(r) => {
-                    assert_eq!(r.0, key.0, "total utility diverged across thread counts");
-                    assert_eq!(r.1, key.1, "learned state diverged across thread counts");
-                    assert_eq!(r.2, key.2, "overload stats diverged across thread counts");
+                    assert_bit_identical(&out.metrics, &r.metrics);
+                    assert_eq!(r.final_state, out.final_state, "learned state diverged");
                 }
             }
         }

@@ -29,6 +29,7 @@ mod tests {
     use crate::baselines::km::BatchKm;
     use crate::baselines::top_k::TopK;
     use crate::lacb::{Lacb, LacbConfig};
+    use crate::testkit::assert_bit_identical;
     use platform_sim::SyntheticConfig;
 
     fn dataset() -> Dataset {
@@ -68,7 +69,7 @@ mod tests {
         let ds = dataset();
         let m1 = run(&ds, &mut TopK::new(3, 7), &RunConfig::default());
         let m2 = run(&ds, &mut TopK::new(3, 7), &RunConfig::default());
-        assert_eq!(m1.total_utility, m2.total_utility);
+        assert_bit_identical(&m1, &m2);
     }
 
     #[test]

@@ -820,9 +820,8 @@ mod tests {
         )
         .unwrap();
         let reference = overload_reference(&ramp.dataset, &ocfg, plan);
-        assert_eq!(out.metrics.total_utility.to_bits(), reference.metrics.total_utility.to_bits());
+        assert_bit_identical(&out.metrics, &reference.metrics);
         assert_eq!(out.final_state, reference.final_state);
-        assert_eq!(out.metrics.overload, reference.metrics.overload);
         assert_eq!(out.recovered_from, None);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -863,11 +862,7 @@ mod tests {
             .unwrap_or_else(|e| panic!("recovery after AfterAdmission d{day} failed: {e}"));
             // Bit-identical accounting proves no admitted request was
             // lost or double-assigned across the crash window.
-            assert_eq!(out.metrics.overload, reference.metrics.overload);
-            assert_eq!(
-                out.metrics.total_utility.to_bits(),
-                reference.metrics.total_utility.to_bits()
-            );
+            assert_bit_identical(&out.metrics, &reference.metrics);
             assert_eq!(out.final_state, reference.final_state);
             let ov = out.metrics.overload.as_ref().unwrap();
             assert!(ov.accounting_balanced());
@@ -909,11 +904,7 @@ mod tests {
                 &dcfg,
             )
             .unwrap_or_else(|e| panic!("recovery after {point:?} failed: {e}"));
-            assert_eq!(out.metrics.overload, reference.metrics.overload);
-            assert_eq!(
-                out.metrics.total_utility.to_bits(),
-                reference.metrics.total_utility.to_bits()
-            );
+            assert_bit_identical(&out.metrics, &reference.metrics);
             assert_eq!(out.final_state, reference.final_state, "state diverged after {point:?}");
             std::fs::remove_dir_all(&dir).ok();
         }

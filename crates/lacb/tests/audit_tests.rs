@@ -297,9 +297,9 @@ proptest! {
             proptest::test_runner::TestCaseError::fail(format!("recovery after {point:?}: {e}"))
         })?;
         prop_assert_eq!(
-            out.metrics.total_utility.to_bits(),
-            reference.metrics.total_utility.to_bits(),
-            "utility diverged after {:?}", point
+            reference.metrics.first_divergence(&out.metrics),
+            None,
+            "diverged after {:?}", point
         );
         prop_assert_eq!(&out.final_state, &reference.final_state, "state diverged after {:?}", point);
     }

@@ -170,20 +170,7 @@ proptest! {
                 ResilienceConfig::default(),
             );
             let got = run_chaos(&ds, &mut assigner, &RunConfig::default(), plan);
-            prop_assert_eq!(
-                want.total_utility.to_bits(),
-                got.total_utility.to_bits(),
-                "{} threads diverged: {} vs {}",
-                n_threads,
-                want.total_utility,
-                got.total_utility
-            );
-            prop_assert_eq!(
-                want.ledger.per_broker_served(),
-                got.ledger.per_broker_served(),
-                "{} threads shifted per-broker load",
-                n_threads
-            );
+            prop_assert_eq!(want.first_divergence(&got), None, "{} threads diverged", n_threads);
         }
     }
 
@@ -216,14 +203,7 @@ proptest! {
         let resumed =
             checkpoint::resume_chaos(&ds, &reloaded, cfg, ResilienceConfig::default(), plan)
                 .unwrap();
-        prop_assert_eq!(
-            uninterrupted.total_utility.to_bits(),
-            resumed.total_utility.to_bits(),
-            "cut after day {}: {} vs {}",
-            cut_day,
-            uninterrupted.total_utility,
-            resumed.total_utility
-        );
+        prop_assert_eq!(uninterrupted.first_divergence(&resumed), None, "cut after day {}", cut_day);
     }
 
     /// Flipping any byte anywhere in a v2 checkpoint makes it fail with
@@ -549,12 +529,11 @@ proptest! {
             proptest::test_runner::TestCaseError::fail(format!("recovery after day {day} batch {batch} failed: {e}"))
         })?;
         prop_assert_eq!(
-            out.metrics.total_utility.to_bits(),
-            reference.metrics.total_utility.to_bits(),
-            "utility diverged after crash at day {} batch {}", day, batch
+            reference.metrics.first_divergence(&out.metrics),
+            None,
+            "diverged after crash at day {} batch {}", day, batch
         );
         prop_assert_eq!(&out.final_state, &reference.final_state);
-        prop_assert_eq!(&out.metrics.overload, &reference.metrics.overload);
         let ov = out.metrics.overload.as_ref().unwrap();
         prop_assert!(ov.accounting_balanced(), "accounting identity broken after recovery");
     }

@@ -118,10 +118,8 @@ fn assert_two_outcomes_only(
     prop_assert!(stats.faults <= 1, "{fault:?}: {} faults from one schedule", stats.faults);
 
     // Serving itself is unaffected, bit for bit.
-    prop_assert!(
-        out.metrics.total_utility.to_bits() == reference.metrics.total_utility.to_bits(),
-        "{fault:?}: utility diverged under a storage fault"
-    );
+    let diff = reference.metrics.first_divergence(&out.metrics);
+    prop_assert!(diff.is_none(), "{fault:?}: serving diverged under a storage fault: {diff:?}");
     prop_assert!(
         out.final_state == reference.final_state,
         "{fault:?}: learned state diverged under a storage fault"
@@ -137,10 +135,8 @@ fn assert_two_outcomes_only(
         &DurableConfig::at(&dir),
     )
     .map_err(|e| TestCaseError::fail(format!("{fault:?}: clean recovery failed: {e}")))?;
-    prop_assert!(
-        clean.metrics.total_utility.to_bits() == reference.metrics.total_utility.to_bits(),
-        "{fault:?}: clean recovery utility diverged"
-    );
+    let diff = reference.metrics.first_divergence(&clean.metrics);
+    prop_assert!(diff.is_none(), "{fault:?}: clean recovery diverged: {diff:?}");
     prop_assert!(
         clean.final_state == reference.final_state,
         "{fault:?}: clean recovery learned state diverged"

@@ -368,12 +368,17 @@ fn top_k_bounded_into(
     out.extend(boundary.iter().map(|e| e.c));
 }
 
-/// Reusable scratch for [`fused_score_select`]: one score-row buffer,
-/// the bounded selection queue, and the per-batch selection / union
-/// accumulators. All buffers keep their capacity across batches, so the
-/// inline (single-thread) path allocates nothing in steady state.
+/// Reusable buffers of [`fused_score_select`]: its two outputs, plus
+/// one score-row buffer, the bounded selection queue, and the per-batch
+/// selection / union accumulators. All buffers keep their capacity
+/// across batches, so the inline (single-thread) path allocates nothing
+/// in steady state.
 #[derive(Debug, Default)]
-pub struct FusedScratch {
+pub struct FusedBuffers {
+    /// The CSR candidate graph, columns compacted to `union`.
+    pub csr: SparseUtility,
+    /// The sorted candidate union (global column ids).
+    pub union: Vec<usize>,
     row: Vec<f64>,
     bins: Vec<u8>,
     boundary: Vec<SelEntry>,
@@ -394,10 +399,11 @@ pub fn fused_row_work(cols: usize) -> u64 {
 }
 
 /// Fused score + select: compute each request row's utilities via
-/// `score(r, buf)` and keep its seeded top-k in one streaming pass,
-/// never materialising the dense matrix — emitting the CSR candidate
-/// graph (`csr`, columns compacted to the candidate union) and the
-/// sorted union itself (`union_out`, global column ids).
+/// `score(r, buf)` over a `rows × cols` matrix and keep its seeded top-k
+/// in one streaming pass, never materialising the dense matrix —
+/// emitting the CSR candidate graph (`out.csr`, columns compacted to
+/// the candidate union) and the sorted union itself (`out.union`,
+/// global column ids).
 ///
 /// Selection runs the bounded queue of [`top_k_bounded_into`] with
 /// the per-row salt `mix(seed ^ r)` — the same per-row seed that drives
@@ -411,21 +417,29 @@ pub fn fused_row_work(cols: usize) -> u64 {
 /// through the queue into CSR rows (ascending column order) instead of
 /// round-tripping through dense full/reduced/pruned buffers.
 pub fn fused_score_select<F>(
-    rows: usize,
-    cols: usize,
+    (rows, cols): (usize, usize),
     k: usize,
     seed: u64,
     n_threads: usize,
     cutoff: u64,
     score: &F,
-    scratch: &mut FusedScratch,
-    csr: &mut SparseUtility,
-    union_out: &mut Vec<usize>,
+    out: &mut FusedBuffers,
 ) where
     F: Fn(usize, &mut [f64]) + Sync,
 {
-    let FusedScratch { row, bins, boundary, sel, seen, remap, sel_cols, sel_utils, row_len } =
-        scratch;
+    let FusedBuffers {
+        csr,
+        union: union_out,
+        row,
+        bins,
+        boundary,
+        sel,
+        seen,
+        remap,
+        sel_cols,
+        sel_utils,
+        row_len,
+    } = out;
     seen.clear();
     seen.resize(cols, false);
     sel_cols.clear();
@@ -712,33 +726,20 @@ mod tests {
         }
     }
 
-    /// Run the fused kernel over a dense matrix's rows and return the
-    /// CSR graph plus the union, with a fresh scratch.
-    fn fuse(u: &UtilityMatrix, k: usize, seed: u64, threads: usize) -> (SparseUtility, Vec<usize>) {
-        let mut scratch = FusedScratch::default();
-        let mut csr = SparseUtility::new();
-        let mut union = Vec::new();
+    /// Run the fused kernel over a dense matrix's rows with fresh
+    /// buffers and return them (CSR graph and union filled in).
+    fn fuse(u: &UtilityMatrix, k: usize, seed: u64, threads: usize, cutoff: u64) -> FusedBuffers {
+        let mut out = FusedBuffers::default();
         let score = |r: usize, buf: &mut [f64]| buf.copy_from_slice(u.row(r));
-        fused_score_select(
-            u.rows(),
-            u.cols(),
-            k,
-            seed,
-            threads,
-            pool::SEQ_CUTOFF_WORK,
-            &score,
-            &mut scratch,
-            &mut csr,
-            &mut union,
-        );
-        (csr, union)
+        fused_score_select((u.rows(), u.cols()), k, seed, threads, cutoff, &score, &mut out);
+        out
     }
 
     #[test]
     fn fused_kernel_matches_unfused_selection_exactly() {
         let u = UtilityMatrix::from_fn(13, 40, |r, c| (((r * 29 + c * 13) % 83) as f64) * 0.02);
         let (k, seed) = (5usize, 4711u64);
-        let (csr, union) = fuse(&u, k, seed, 1);
+        let FusedBuffers { csr, union, .. } = fuse(&u, k, seed, 1, pool::SEQ_CUTOFF_WORK);
         // Union identical to the unfused two-pass path.
         assert_eq!(union, candidate_union_seeded(&u, k, seed, 1));
         assert_eq!(csr.rows(), u.rows());
@@ -760,66 +761,29 @@ mod tests {
     #[test]
     fn fused_kernel_is_thread_count_invariant() {
         let u = UtilityMatrix::from_fn(23, 64, |r, c| (((r * 31 + c * 17) % 97) as f64) * 0.01);
-        let (base_csr, base_union) = fuse(&u, 7, 1013, 1);
+        let base = fuse(&u, 7, 1013, 1, pool::SEQ_CUTOFF_WORK);
         for threads in [2usize, 4, 8] {
             // Cutoff 0 forces the parallel path even at small sizes.
-            let mut scratch = FusedScratch::default();
-            let mut csr = SparseUtility::new();
-            let mut union = Vec::new();
-            let score = |r: usize, buf: &mut [f64]| buf.copy_from_slice(u.row(r));
-            fused_score_select(
-                u.rows(),
-                u.cols(),
-                7,
-                1013,
-                threads,
-                0,
-                &score,
-                &mut scratch,
-                &mut csr,
-                &mut union,
-            );
-            assert_eq!(union, base_union, "threads={threads}");
-            assert_eq!(csr, base_csr, "threads={threads}");
+            let out = fuse(&u, 7, 1013, threads, 0);
+            assert_eq!(out.union, base.union, "threads={threads}");
+            assert_eq!(out.csr, base.csr, "threads={threads}");
         }
     }
 
     #[test]
     fn fused_kernel_steady_state_allocates_nothing_inline() {
         let u = UtilityMatrix::from_fn(9, 30, |r, c| ((r * 7 + c * 3) % 11) as f64);
-        let mut scratch = FusedScratch::default();
-        let mut csr = SparseUtility::new();
-        let mut union = Vec::new();
+        let mut out = FusedBuffers::default();
         let score = |r: usize, buf: &mut [f64]| buf.copy_from_slice(u.row(r));
-        for _ in 0..2 {
-            fused_score_select(
-                u.rows(),
-                u.cols(),
-                4,
-                9,
-                1,
-                pool::SEQ_CUTOFF_WORK,
-                &score,
-                &mut scratch,
-                &mut csr,
-                &mut union,
-            );
-        }
-        let caps = (scratch.row.capacity(), scratch.sel_cols.capacity(), union.capacity());
-        fused_score_select(
-            u.rows(),
-            u.cols(),
-            4,
-            9,
-            1,
-            pool::SEQ_CUTOFF_WORK,
-            &score,
-            &mut scratch,
-            &mut csr,
-            &mut union,
-        );
+        let pass = |out: &mut FusedBuffers| {
+            fused_score_select((u.rows(), u.cols()), 4, 9, 1, pool::SEQ_CUTOFF_WORK, &score, out)
+        };
+        pass(&mut out);
+        pass(&mut out);
+        let caps = (out.row.capacity(), out.sel_cols.capacity(), out.union.capacity());
+        pass(&mut out);
         assert_eq!(
-            (scratch.row.capacity(), scratch.sel_cols.capacity(), union.capacity()),
+            (out.row.capacity(), out.sel_cols.capacity(), out.union.capacity()),
             caps,
             "warm fused pass must not reallocate"
         );
@@ -828,9 +792,9 @@ mod tests {
     #[test]
     fn fused_kernel_handles_empty_batches() {
         let u = UtilityMatrix::zeros(0, 12);
-        let (csr, union) = fuse(&u, 3, 1, 1);
-        assert_eq!(csr.rows(), 0);
-        assert!(union.is_empty());
+        let out = fuse(&u, 3, 1, 1, pool::SEQ_CUTOFF_WORK);
+        assert_eq!(out.csr.rows(), 0);
+        assert!(out.union.is_empty());
     }
 
     #[test]
@@ -844,31 +808,16 @@ mod tests {
         // every thread count.
         let u = UtilityMatrix::from_fn(11, 36, |_, c| ((c % 3) as f64) * 0.5);
         let (k, seed) = (7usize, 99u64);
-        let (csr, union) = fuse(&u, k, seed, 1);
-        let (csr2, union2) = fuse(&u, k, seed, 1);
-        assert_eq!(union, union2);
-        assert_eq!(csr.nnz(), csr2.nnz());
+        let FusedBuffers { csr, union, .. } = fuse(&u, k, seed, 1, pool::SEQ_CUTOFF_WORK);
+        let again = fuse(&u, k, seed, 1, pool::SEQ_CUTOFF_WORK);
+        assert_eq!(union, again.union);
+        assert_eq!(csr.nnz(), again.csr.nnz());
         for threads in [2usize, 4] {
-            let mut scratch = FusedScratch::default();
-            let mut c = SparseUtility::new();
-            let mut un = Vec::new();
-            let score = |r: usize, buf: &mut [f64]| buf.copy_from_slice(u.row(r));
             // Cutoff 0 forces the parallel path even at this size.
-            fused_score_select(
-                u.rows(),
-                u.cols(),
-                k,
-                seed,
-                threads,
-                0,
-                &score,
-                &mut scratch,
-                &mut c,
-                &mut un,
-            );
-            assert_eq!(un, union, "threads={threads}");
+            let out = fuse(&u, k, seed, threads, 0);
+            assert_eq!(out.union, union, "threads={threads}");
             for r in 0..u.rows() {
-                assert_eq!(c.row_cols(r), csr.row_cols(r), "threads={threads} row={r}");
+                assert_eq!(out.csr.row_cols(r), csr.row_cols(r), "threads={threads} row={r}");
             }
         }
         for r in 0..u.rows() {

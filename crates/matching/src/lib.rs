@@ -32,7 +32,7 @@ pub use auction::auction_assignment;
 pub use brownout::MatchMode;
 pub use cbs::{
     candidate_union, candidate_union_seeded, fused_score_select, top_k_indices, top_k_into,
-    FusedScratch,
+    FusedBuffers,
 };
 pub use graph::{AssignmentResult, UtilityMatrix};
 pub use hungarian::{

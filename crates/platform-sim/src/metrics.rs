@@ -385,6 +385,55 @@ pub struct RunMetrics {
     pub storage: Option<StorageStats>,
 }
 
+impl RunMetrics {
+    /// The one run-vs-run oracle: the first field in which `other` did
+    /// not serve bit-identically to `self`, or `None`. It compares, bit
+    /// for bit, total and daily utility, all seven ledger vectors, and
+    /// the `resilience` and `overload` accounting; a `0.0` against a
+    /// `-0.0` is a divergence.
+    ///
+    /// Left out on purpose: the wall-clock fields (`elapsed_secs`,
+    /// `daily_elapsed`, `timings`) differ between any two runs, and the
+    /// layer telemetry (`audit`, `replication`, `storage`) differs
+    /// between stacks that serve identically — a takeover run against
+    /// a single node, a degraded disk against a clean one. Each harness
+    /// gates that telemetry itself. `algorithm` is a label.
+    pub fn first_divergence(&self, other: &RunMetrics) -> Option<String> {
+        if self.total_utility.to_bits() != other.total_utility.to_bits() {
+            return Some(format!(
+                "total_utility {} vs {}",
+                self.total_utility, other.total_utility
+            ));
+        }
+        let (a, b) = (self.ledger.snapshot(), other.ledger.snapshot());
+        let vectors = [
+            ("daily_utility", &self.daily_utility, &other.daily_utility),
+            ("ledger.realized_utility", &a.realized_utility, &b.realized_utility),
+            ("ledger.predicted_utility", &a.predicted_utility, &b.predicted_utility),
+            ("ledger.requests_served", &a.requests_served, &b.requests_served),
+            ("ledger.daily_realized", &a.daily_realized, &b.daily_realized),
+            ("ledger.daily_served", &a.daily_served, &b.daily_served),
+            ("ledger.peak_daily_workload", &a.peak_daily_workload, &b.peak_daily_workload),
+            ("ledger.workload_today", &a.workload_today, &b.workload_today),
+        ];
+        for (name, x, y) in vectors {
+            if x.len() != y.len() {
+                return Some(format!("{name} length {} vs {}", x.len(), y.len()));
+            }
+            if let Some(i) = (0..x.len()).find(|&i| x[i].to_bits() != y[i].to_bits()) {
+                return Some(format!("{name}[{i}] {} vs {}", x[i], y[i]));
+            }
+        }
+        if self.resilience != other.resilience {
+            return Some(format!("resilience {:?} vs {:?}", self.resilience, other.resilience));
+        }
+        if self.overload != other.overload {
+            return Some(format!("overload {:?} vs {:?}", self.overload, other.overload));
+        }
+        None
+    }
+}
+
 /// Serving mode of the storage-fault state machine
 /// (`Durable → Degraded → Resyncing → Durable`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -929,5 +978,81 @@ mod tests {
         l.record_pair(0, 0.1, 0.1);
         l.end_day(0.2);
         assert!((l.per_broker_mean_daily_workload()[0] - 1.5).abs() < 1e-12);
+    }
+
+    fn edit_ledger(m: &mut RunMetrics, edit: impl FnOnce(&mut LedgerSnapshot)) {
+        let mut s = m.ledger.snapshot();
+        edit(&mut s);
+        m.ledger = BrokerLedger::from_snapshot(s).unwrap();
+    }
+
+    fn next_up(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() + 1)
+    }
+
+    #[test]
+    fn first_divergence_names_each_compared_field_and_ignores_telemetry() {
+        let base = RunMetrics {
+            algorithm: "lacb".into(),
+            total_utility: 0.75,
+            elapsed_secs: 0.1,
+            daily_utility: vec![0.75, 0.0],
+            daily_elapsed: vec![0.05, 0.1],
+            ledger: BrokerLedger::from_snapshot(LedgerSnapshot {
+                realized_utility: vec![0.5, 0.25],
+                predicted_utility: vec![0.75, 0.5],
+                requests_served: vec![3.0, 1.0],
+                daily_realized: vec![0.5, 0.25],
+                daily_served: vec![3.0, 1.0],
+                peak_daily_workload: vec![2.0, 1.0],
+                workload_today: vec![0.0, 1.0],
+            })
+            .unwrap(),
+            resilience: Some(ResilienceStats::default()),
+            overload: Some(OverloadStats::default()),
+            timings: StageTimings::default(),
+            audit: None,
+            replication: None,
+            storage: None,
+        };
+        assert_eq!(base.first_divergence(&base.clone()), None);
+        type Edit = fn(&mut RunMetrics);
+        let compared: [(&str, Edit); 11] = [
+            ("total_utility", |m| m.total_utility = next_up(m.total_utility)),
+            ("daily_utility", |m| m.daily_utility[1] = -0.0),
+            ("ledger.realized_utility", |m| edit_ledger(m, |s| s.realized_utility[0] = 0.0)),
+            ("ledger.predicted_utility", |m| {
+                edit_ledger(m, |s| s.predicted_utility[1] = next_up(s.predicted_utility[1]))
+            }),
+            ("ledger.requests_served", |m| edit_ledger(m, |s| s.requests_served[1] = 2.0)),
+            ("ledger.daily_realized", |m| edit_ledger(m, |s| s.daily_realized[0] = 0.0)),
+            ("ledger.daily_served", |m| edit_ledger(m, |s| s.daily_served[1] = 0.0)),
+            ("ledger.peak_daily_workload", |m| edit_ledger(m, |s| s.peak_daily_workload[0] = 3.0)),
+            ("ledger.workload_today", |m| edit_ledger(m, |s| s.workload_today[0] = -0.0)),
+            ("resilience", |m| m.resilience.as_mut().unwrap().primary_panics = 1),
+            ("overload", |m| m.overload.as_mut().unwrap().offered = 1),
+        ];
+        for (field, edit) in compared {
+            let mut m = base.clone();
+            edit(&mut m);
+            let diff = base.first_divergence(&m).unwrap_or_else(|| panic!("{field} not compared"));
+            assert!(diff.starts_with(field), "{field} change reported as {diff:?}");
+        }
+        let ignored: [(&str, Edit); 7] = [
+            ("algorithm", |m| m.algorithm = "other".into()),
+            ("elapsed_secs", |m| m.elapsed_secs = 9.0),
+            ("daily_elapsed", |m| m.daily_elapsed[0] = 9.0),
+            ("timings", |m| m.timings.assign_batch_secs.push(0.5)),
+            ("audit", |m| m.audit = Some(AuditReport { checks: 1, ..Default::default() })),
+            ("replication", |m| {
+                m.replication = Some(ReplicationStats { epoch: 1, ..Default::default() })
+            }),
+            ("storage", |m| m.storage = Some(StorageStats { faults: 1, ..Default::default() })),
+        ];
+        for (field, edit) in ignored {
+            let mut m = base.clone();
+            edit(&mut m);
+            assert_eq!(base.first_divergence(&m), None, "{field} is telemetry, not serving");
+        }
     }
 }

@@ -10,7 +10,7 @@
 
 use caam::lacb::{
     run, run_chaos, run_overload, Assigner, Lacb, LacbConfig, OverloadConfig,
-    RandomizedRecommendation, ResilienceConfig, RunConfig, TopK, SCORE_WORK_PER_BROKER,
+    RandomizedRecommendation, ResilienceConfig, RunConfig, RunMetrics, TopK, SCORE_WORK_PER_BROKER,
 };
 use caam::platform_sim::{ramp_dataset, Dataset, FaultConfig, FaultPlan, SyntheticConfig};
 use proptest::prelude::*;
@@ -25,8 +25,12 @@ fn dataset(seed: u64) -> Dataset {
     })
 }
 
-fn total(mut a: Box<dyn Assigner>, ds: &Dataset) -> f64 {
-    run(ds, a.as_mut(), &RunConfig::default()).total_utility
+fn run_of(mut a: Box<dyn Assigner>, ds: &Dataset) -> RunMetrics {
+    run(ds, a.as_mut(), &RunConfig::default())
+}
+
+fn total(a: Box<dyn Assigner>, ds: &Dataset) -> f64 {
+    run_of(a, ds).total_utility
 }
 
 #[test]
@@ -40,9 +44,9 @@ fn identical_seeds_identical_results() {
                 as Box<dyn Assigner>
         },
     ] {
-        let a = total(mk(), &ds);
-        let b = total(mk(), &ds);
-        assert_eq!(a, b, "same seed must reproduce exactly");
+        let a = run_of(mk(), &ds);
+        let b = run_of(mk(), &ds);
+        assert_eq!(a.first_divergence(&b), None, "same seed must reproduce exactly");
     }
 }
 
@@ -102,16 +106,14 @@ fn opt_with(seed: u64, n_threads: usize, parallel_cutoff: u64) -> Lacb {
 fn cutoff_boundary_and_threads_never_change_results() {
     let ds = small_world(91);
     let reference =
-        run(&ds, &mut opt_with(5, 1, LacbConfig::opt().parallel_cutoff), &RunConfig::default())
-            .total_utility;
+        run(&ds, &mut opt_with(5, 1, LacbConfig::opt().parallel_cutoff), &RunConfig::default());
     for cutoff in boundary_cutoffs(ds.brokers.len()) {
         for n_threads in [1, 2, 4, 8] {
-            let got =
-                run(&ds, &mut opt_with(5, n_threads, cutoff), &RunConfig::default()).total_utility;
+            let got = run(&ds, &mut opt_with(5, n_threads, cutoff), &RunConfig::default());
             assert_eq!(
-                got.to_bits(),
-                reference.to_bits(),
-                "n_threads={n_threads} cutoff={cutoff} diverged: {got} vs {reference}"
+                reference.first_divergence(&got),
+                None,
+                "n_threads={n_threads} cutoff={cutoff} diverged"
             );
         }
     }
@@ -123,16 +125,14 @@ fn cutoff_boundary_holds_under_fault_schedules() {
     let plan = FaultPlan::new(FaultConfig::scenario("broker-dropout+lost-feedback", 17).unwrap());
     let default_cutoff = LacbConfig::opt().parallel_cutoff;
     let reference =
-        run_chaos(&ds, &mut opt_with(5, 1, default_cutoff), &RunConfig::default(), plan)
-            .total_utility;
+        run_chaos(&ds, &mut opt_with(5, 1, default_cutoff), &RunConfig::default(), plan);
     for cutoff in boundary_cutoffs(ds.brokers.len()) {
         for n_threads in [2, 8] {
             let got =
-                run_chaos(&ds, &mut opt_with(5, n_threads, cutoff), &RunConfig::default(), plan)
-                    .total_utility;
+                run_chaos(&ds, &mut opt_with(5, n_threads, cutoff), &RunConfig::default(), plan);
             assert_eq!(
-                got.to_bits(),
-                reference.to_bits(),
+                reference.first_divergence(&got),
+                None,
                 "chaos run diverged at n_threads={n_threads} cutoff={cutoff}"
             );
         }
@@ -158,8 +158,7 @@ fn cutoff_boundary_holds_under_overload_ramp() {
         &ocfg,
         plan,
     )
-    .metrics
-    .total_utility;
+    .metrics;
     for cutoff in boundary_cutoffs(base.brokers.len()) {
         for n_threads in [2, 4] {
             let got = run_overload(
@@ -169,11 +168,10 @@ fn cutoff_boundary_holds_under_overload_ramp() {
                 &ocfg,
                 plan,
             )
-            .metrics
-            .total_utility;
+            .metrics;
             assert_eq!(
-                got.to_bits(),
-                reference.to_bits(),
+                reference.first_divergence(&got),
+                None,
                 "overload ramp diverged at n_threads={n_threads} cutoff={cutoff}"
             );
         }
@@ -197,11 +195,9 @@ proptest! {
         let ds = small_world(94);
         let cutoff = boundary_cutoffs(ds.brokers.len())[cutoff_idx];
         let reference =
-            run(&ds, &mut opt_with(seed, 1, LacbConfig::opt().parallel_cutoff), &RunConfig::default())
-                .total_utility;
-        let got =
-            run(&ds, &mut opt_with(seed, n_threads, cutoff), &RunConfig::default()).total_utility;
-        prop_assert_eq!(got.to_bits(), reference.to_bits());
+            run(&ds, &mut opt_with(seed, 1, LacbConfig::opt().parallel_cutoff), &RunConfig::default());
+        let got = run(&ds, &mut opt_with(seed, n_threads, cutoff), &RunConfig::default());
+        prop_assert_eq!(reference.first_divergence(&got), None);
     }
 }
 
