@@ -72,14 +72,17 @@ fn check_outcome(
     kill: Option<&KillPoint>,
     floor: f64,
 ) -> Result<String, String> {
+    let Some(repl) = &out.metrics.replication else {
+        return Err("run carried no replication stats".into());
+    };
     if kill.is_some() {
         if !out.promoted {
             return Err("follower was never promoted".into());
         }
-        if out.replication.epoch == 0 {
+        if repl.epoch == 0 {
             return Err("promotion did not bump the epoch".into());
         }
-        if out.replication.stale_epoch_rejected == 0 {
+        if repl.stale_epoch_rejected == 0 {
             return Err("no stale-epoch frame was fenced off".into());
         }
     } else {
@@ -91,14 +94,13 @@ fn check_outcome(
         }
     }
     same_outcome(&reference.metrics, &reference.state, &out.metrics, &out.final_state)?;
-    if matches!(kill, Some(KillPoint::MidFrame { .. })) && out.replication.corrupt_rejected == 0 {
+    if matches!(kill, Some(KillPoint::MidFrame { .. })) && repl.corrupt_rejected == 0 {
         return Err("torn mid-frame kill was not CRC-rejected".into());
     }
     let g = goodput(&out.metrics, reference.offered);
     if g < floor {
         return Err(format!("goodput {:.1}% below floor {:.1}%", g * 100.0, floor * 100.0));
     }
-    let repl = &out.replication;
     Ok(if kill.is_some() {
         format!(
             "(epoch {}, took over at {:?}, {} stale fenced, goodput {:.1}%)",

@@ -19,7 +19,7 @@
 use crate::args::Args;
 use crate::commands::CliError;
 use crate::harness::{self, caught, list, obj, quote, same_outcome, Gate};
-use lacb::overload::{run_overload, OverloadConfig, OverloadOutcome};
+use lacb::overload::{run_overload, OverloadConfig, OverloadOutcome, DEADLINE_TICKS};
 use lacb::{LacbConfig, ResilienceConfig};
 use platform_sim::ramp_dataset;
 
@@ -51,7 +51,7 @@ pub fn cmd_overload(args: &Args) -> Result<(), CliError> {
         ocfg.queue_watermark,
         ocfg.tokens_per_tick,
         ocfg.bucket_capacity,
-        ocfg.deadline_ticks
+        DEADLINE_TICKS
     );
 
     // One run per thread count; the first is the reference the gates

@@ -47,8 +47,11 @@ enum SolvedKind {
     Sparse,
 }
 
-/// Tuning knobs of the runtime audits. Defaults keep the cheap
-/// per-batch certificates and the day-boundary deep audits on; the
+/// Numerical tolerance of the certificates.
+pub(crate) const TOL: f64 = 1e-6;
+
+/// The runtime audits' one switch. On by default: the cheap per-batch
+/// certificates and the day-boundary deep audits both run; the
 /// per-batch cost is `O(brokers + matched)` plus one utility-matrix
 /// copy, well under the solve itself.
 #[derive(Clone, Debug)]
@@ -56,15 +59,11 @@ pub struct AuditConfig {
     /// Master switch. Off disables every check, the quarantine logic
     /// and the report (the matcher behaves exactly as before).
     pub enabled: bool,
-    /// Run the `O(n·m)` deep audits at day boundaries.
-    pub deep: bool,
-    /// Numerical tolerance of the certificates.
-    pub tol: f64,
 }
 
 impl Default for AuditConfig {
     fn default() -> Self {
-        Self { enabled: true, deep: true, tol: 1e-6 }
+        Self { enabled: true }
     }
 }
 
@@ -115,14 +114,6 @@ impl Auditor {
 
     pub fn enabled(&self) -> bool {
         self.cfg.enabled
-    }
-
-    pub fn deep_enabled(&self) -> bool {
-        self.cfg.deep
-    }
-
-    pub fn tol(&self) -> f64 {
-        self.cfg.tol
     }
 
     /// Size the quarantine set (idempotent).
@@ -341,9 +332,7 @@ mod tests {
 
     #[test]
     fn defaults_are_on() {
-        let cfg = AuditConfig::default();
-        assert!(cfg.enabled && cfg.deep);
-        assert!(cfg.tol > 0.0);
+        assert!(AuditConfig::default().enabled);
     }
 
     #[test]

@@ -574,14 +574,13 @@ impl Lacb {
     /// Broker-scoped capacity-range certificate; violators are
     /// quarantined for selective repair.
     fn check_capacities(&mut self, day: usize, batch: usize) {
-        let tol = self.auditor.tol();
         let (lo, hi) = self.arm_bounds();
         for b in 0..self.capacities.len() {
             if self.auditor.is_quarantined(b) {
                 continue;
             }
             let cap = self.capacities[b];
-            if audit::capacity_out_of_bounds(cap, lo, hi, tol) {
+            if audit::capacity_out_of_bounds(cap, lo, hi, audit::TOL) {
                 self.auditor.record_violation(
                     InvariantKind::BanditState,
                     day,
@@ -598,9 +597,8 @@ impl Lacb {
     /// the table to the cold-start prior (it relearns from feedback)
     /// and escalates the next batch to the greedy floor.
     fn check_value_table(&mut self, day: usize, batch: usize) {
-        let tol = self.auditor.tol();
         let bound = audit::value_bound(self.auditor.max_reward(), self.cfg.gamma);
-        if let Some((i, v)) = audit::table_violation(self.value_fn.table(), bound, tol) {
+        if let Some((i, v)) = audit::table_violation(self.value_fn.table(), bound, audit::TOL) {
             self.auditor.record_violation(
                 InvariantKind::ValueBound,
                 day,
@@ -618,13 +616,12 @@ impl Lacb {
     /// certificate discards the warm-start duals *before* they can
     /// steer the next solve, then escalates to the greedy floor.
     fn check_dual_certificate(&mut self, day: usize, batch: usize, mode: CertifyMode) {
-        let tol = self.auditor.tol();
         let verdict =
             self.auditor.solved_matrix().and_then(|m| self.solver.certify(m, mode)).or_else(|| {
                 self.auditor.solved_sparse().and_then(|g| self.solver.certify_sparse(g, mode))
             });
         if let Some(cert) = verdict {
-            if !cert.holds(tol) {
+            if !cert.holds(audit::TOL) {
                 self.auditor.record_violation(
                     InvariantKind::DualCertificate,
                     day,
@@ -1286,7 +1283,7 @@ impl Assigner for Lacb {
         }
         // Deep audit after the feedback lands: damage it surfaces is
         // quarantined before the next begin_day re-estimates from it.
-        if self.auditor.enabled() && self.auditor.deep_enabled() {
+        if self.auditor.enabled() {
             self.auditor.ensure_brokers(self.capacities.len());
             self.deep_audit();
         }

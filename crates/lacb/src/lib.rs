@@ -53,9 +53,7 @@ pub use overload::{
     run_overload, OverloadConfig, OverloadOutcome, OverloadSnapshot, OverloadState,
 };
 pub use platform_sim::RunMetrics;
-pub use replication::{
-    run_replicated, ReplicatedOutcome, ReplicationConfig, ReplicationError, REPLICA_WAL_FILE,
-};
+pub use replication::{run_replicated, ReplicatedOutcome, ReplicationConfig, ReplicationError};
 pub use resilient::{run_chaos, ResilienceConfig, ResilientAssigner};
 pub use runner::{run, RunConfig};
 pub use storage::{FaultSite, StorageConfig, StorageGuard};

@@ -44,16 +44,34 @@ use platform_sim::{
 };
 use std::collections::HashMap;
 
-/// Knobs of the overload-protection layer. All units are batch ticks
-/// and request counts — nothing here reads a clock.
+/// Ticks a queued request may wait before it expires.
+pub const DEADLINE_TICKS: u64 = 3;
+
+/// Breaker tuning shared by the solver, bandit and WAL breakers.
+const BREAKER: BreakerConfig =
+    BreakerConfig { trip_after: 3, cooldown_ticks: 8, half_open_probes: 2 };
+
+/// CBS candidate-set divisor at the reduced-quality brownout level.
+const SHRINK_DIVISOR: u32 = 4;
+
+/// EWMA smoothing of the spike detector.
+const SPIKE_ALPHA: f64 = 0.3;
+
+/// Offered/baseline ratio that counts as a spike.
+const SPIKE_RATIO: f64 = 2.0;
+
+/// Observations before the spike detector may fire.
+const SPIKE_WARMUP: u64 = 3;
+
+/// Knobs of the overload-protection layer, sized from the load. All
+/// units are batch ticks and request counts — nothing here reads a
+/// clock.
 #[derive(Clone, Debug)]
 pub struct OverloadConfig {
     /// Hard bound on queued requests.
     pub queue_capacity: usize,
     /// Depth above which the lowest-priority entries are shed.
     pub queue_watermark: usize,
-    /// Ticks a queued request may wait before it expires.
-    pub deadline_ticks: u64,
     /// Token bucket burst size (max drained in one tick).
     pub bucket_capacity: u64,
     /// Sustained drain rate into the matcher, requests per tick.
@@ -61,37 +79,8 @@ pub struct OverloadConfig {
     /// KM relaxation-ops budget per solve; exceeding it is a breaker
     /// failure (the deterministic stand-in for a deadline miss).
     pub solver_ops_budget: u64,
-    /// Shared breaker tuning (solver, bandit, WAL).
-    pub breaker: BreakerConfig,
     /// Brownout ladder thresholds (queue depths) and hysteresis.
     pub brownout: BrownoutConfig,
-    /// CBS candidate-set divisor at the reduced-quality level.
-    pub shrink_divisor: u32,
-    /// EWMA smoothing for the spike detector.
-    pub spike_alpha: f64,
-    /// Offered/baseline ratio that counts as a spike.
-    pub spike_ratio: f64,
-    /// Observations before the spike detector may fire.
-    pub spike_warmup: u64,
-}
-
-impl Default for OverloadConfig {
-    fn default() -> Self {
-        Self {
-            queue_capacity: 256,
-            queue_watermark: 192,
-            deadline_ticks: 3,
-            bucket_capacity: 128,
-            tokens_per_tick: 64,
-            solver_ops_budget: 2_000_000,
-            breaker: BreakerConfig::default(),
-            brownout: BrownoutConfig::default(),
-            shrink_divisor: 4,
-            spike_alpha: 0.3,
-            spike_ratio: 2.0,
-            spike_warmup: 3,
-        }
-    }
 }
 
 impl OverloadConfig {
@@ -99,7 +88,7 @@ impl OverloadConfig {
     /// bucket sustains 2× the nominal load (absorbing bursts without
     /// throttling steady state), the queue holds 8 batches, and the
     /// brownout ladder engages at 3 (reduced) and 5 (greedy) batches
-    /// of backlog.
+    /// of backlog. A solve may spend 2 000 000 relaxation ops.
     pub fn sized_for(dataset: &Dataset) -> Self {
         let batches: usize = dataset.days.iter().map(|d| d.len()).sum();
         let total: usize = dataset.days.iter().flatten().map(|b| b.requests.len()).sum();
@@ -109,13 +98,13 @@ impl OverloadConfig {
             queue_watermark: 6 * mean,
             bucket_capacity: 4 * mean as u64,
             tokens_per_tick: 2 * mean as u64,
+            solver_ops_budget: 2_000_000,
             brownout: BrownoutConfig {
                 enter_reduced: 3 * mean,
                 enter_greedy: 5 * mean,
                 exit_below: mean,
                 ..BrownoutConfig::default()
             },
-            ..Self::default()
         }
     }
 }
@@ -159,10 +148,10 @@ impl OverloadState {
     pub fn new(cfg: OverloadConfig) -> Self {
         let bucket = TokenBucket::new(cfg.bucket_capacity, cfg.tokens_per_tick);
         let queue = AdmissionQueue::new(cfg.queue_capacity, cfg.queue_watermark);
-        let spike = SpikeDetector::new(cfg.spike_alpha, cfg.spike_ratio, cfg.spike_warmup);
-        let solver_breaker = CircuitBreaker::new(cfg.breaker);
-        let bandit_breaker = CircuitBreaker::new(cfg.breaker);
-        let wal_breaker = CircuitBreaker::new(cfg.breaker);
+        let spike = SpikeDetector::new(SPIKE_ALPHA, SPIKE_RATIO, SPIKE_WARMUP);
+        let solver_breaker = CircuitBreaker::new(BREAKER);
+        let bandit_breaker = CircuitBreaker::new(BREAKER);
+        let wal_breaker = CircuitBreaker::new(BREAKER);
         let brownout = BrownoutController::new(cfg.brownout);
         Self {
             cfg,
@@ -228,7 +217,7 @@ impl OverloadState {
                 id,
                 priority: p,
                 enqueued_tick: self.tick,
-                deadline_tick: self.tick + self.cfg.deadline_ticks,
+                deadline_tick: self.tick + DEADLINE_TICKS,
             };
             self.parked.insert(id, r.clone());
             match self.queue.offer(entry) {
@@ -285,7 +274,7 @@ impl OverloadState {
             match level {
                 BrownoutLevel::Normal => MatchMode::Full,
                 BrownoutLevel::ReducedCbs => {
-                    MatchMode::ShrunkCandidates { divisor: self.cfg.shrink_divisor }
+                    MatchMode::ShrunkCandidates { divisor: SHRINK_DIVISOR }
                 }
                 BrownoutLevel::GreedyOnly => MatchMode::Greedy,
             }
@@ -393,15 +382,10 @@ impl OverloadState {
             tick: s.tick,
             bucket: TokenBucket::from_snapshot(&s.bucket),
             queue: AdmissionQueue::from_snapshot(&s.queue),
-            spike: SpikeDetector::from_snapshot(
-                cfg.spike_alpha,
-                cfg.spike_ratio,
-                cfg.spike_warmup,
-                &s.spike,
-            ),
-            solver_breaker: CircuitBreaker::from_snapshot(cfg.breaker, &s.solver_breaker),
-            bandit_breaker: CircuitBreaker::from_snapshot(cfg.breaker, &s.bandit_breaker),
-            wal_breaker: CircuitBreaker::from_snapshot(cfg.breaker, &s.wal_breaker),
+            spike: SpikeDetector::from_snapshot(SPIKE_ALPHA, SPIKE_RATIO, SPIKE_WARMUP, &s.spike),
+            solver_breaker: CircuitBreaker::from_snapshot(BREAKER, &s.solver_breaker),
+            bandit_breaker: CircuitBreaker::from_snapshot(BREAKER, &s.bandit_breaker),
+            wal_breaker: CircuitBreaker::from_snapshot(BREAKER, &s.wal_breaker),
             brownout: BrownoutController::from_snapshot(cfg.brownout, &s.brownout),
             stats: s.stats.clone(),
             parked: HashMap::new(),

@@ -19,6 +19,9 @@
 //!   prunes its frame outbox and its on-disk WAL
 //!   ([`durability::Wal::prune_to_watermark`]) up to the acked day at
 //!   each checkpoint boundary;
+//! * the primary's disk is the single node's `DiskState`: with
+//!   [`ReplicationConfig::with_storage`] a failing disk degrades,
+//!   buffers and resyncs exactly as in [`crate::supervisor`];
 //! * a [`replica::FailureDetector`] counts silent link ticks; when the
 //!   primary goes quiet past the threshold — because a seeded
 //!   [`KillPoint`] killed it, or a seeded network partition made it
@@ -35,11 +38,12 @@
 //! state equal to an uninterrupted [`crate::resilient::run_chaos`] run,
 //! for every seeded kill point and network-fault scenario.
 
-use crate::checkpoint::CHECKPOINT_GENERATIONS;
 use crate::core::{self, Engine, Logged, Sink, Unit};
 use crate::lacb::{Lacb, LacbConfig};
 use crate::resilient::{ResilienceConfig, ResilientAssigner};
-use durability::{tmp_path, CheckpointStore, StdVfs, StoreError, Vfs, Wal, WalError, WalRecord};
+use crate::storage::StorageConfig;
+use crate::supervisor::{DiskState, RecoveryError};
+use durability::{tmp_path, StdVfs, Vfs, WalRecord};
 use platform_sim::{
     Dataset, FaultPlan, KillPoint, NetDelivery, NetFaultPlan, ReplicationStats, RunMetrics,
 };
@@ -50,9 +54,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-
-/// File name of the primary's WAL inside the replication directory.
-pub const REPLICA_WAL_FILE: &str = "primary.wal";
 
 /// Safety valve on the protocol loops that wait for network
 /// convergence; hitting it is a protocol bug, not a slow link.
@@ -73,11 +74,11 @@ pub struct ReplicationConfig {
     pub kill: Option<KillPoint>,
     /// Filesystem the primary's WAL and checkpoint store go through.
     pub vfs: Arc<dyn Vfs>,
-    /// When set, primary-side storage faults are absorbed instead of
-    /// aborting: the failing handle is latched off, the fault is
-    /// counted in [`ReplicationStats`], and shipping continues — the
-    /// follower's acked watermark is the durability story then.
-    pub tolerate_storage_faults: bool,
+    /// Storage-fault tolerance of the primary's disk, exactly as
+    /// [`crate::DurableConfig::storage`]: `None` (the default) makes
+    /// any storage failure a typed [`ReplicationError::Disk`]; `Some`
+    /// degrades, buffers and resyncs while shipping continues.
+    pub storage: Option<StorageConfig>,
 }
 
 impl ReplicationConfig {
@@ -88,7 +89,7 @@ impl ReplicationConfig {
             dir: dir.to_path_buf(),
             kill: None,
             vfs: Arc::new(StdVfs),
-            tolerate_storage_faults: false,
+            storage: None,
         }
     }
 
@@ -98,9 +99,9 @@ impl ReplicationConfig {
         self
     }
 
-    /// Absorb primary-side storage faults instead of aborting.
-    pub fn tolerant(mut self) -> Self {
-        self.tolerate_storage_faults = true;
+    /// Put the primary's disk under the degraded-mode state machine.
+    pub fn with_storage(mut self, storage: StorageConfig) -> Self {
+        self.storage = Some(storage);
         self
     }
 }
@@ -108,10 +109,8 @@ impl ReplicationConfig {
 /// Why a replicated run failed.
 #[derive(Clone, Debug)]
 pub enum ReplicationError {
-    /// The primary's WAL could not be written or pruned.
-    Wal(WalError),
-    /// The primary's checkpoint store failed.
-    Store(StoreError),
+    /// The primary's disk failed with no storage guard to absorb it.
+    Disk(RecoveryError),
     /// A shipped record recomputed differently on the follower.
     /// Deterministic replay makes this impossible unless state, code,
     /// or wire were corrupted in a way the checksums could not see.
@@ -124,8 +123,7 @@ pub enum ReplicationError {
 impl fmt::Display for ReplicationError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ReplicationError::Wal(e) => write!(f, "WAL error: {e}"),
-            ReplicationError::Store(e) => write!(f, "checkpoint store error: {e}"),
+            ReplicationError::Disk(e) => write!(f, "primary disk: {e}"),
             ReplicationError::Divergence { day, batch: Some(b), detail } => {
                 write!(f, "replication divergence at day {day} batch {b}: {detail}")
             }
@@ -139,15 +137,9 @@ impl fmt::Display for ReplicationError {
 
 impl std::error::Error for ReplicationError {}
 
-impl From<WalError> for ReplicationError {
-    fn from(e: WalError) -> Self {
-        ReplicationError::Wal(e)
-    }
-}
-
-impl From<StoreError> for ReplicationError {
-    fn from(e: StoreError) -> Self {
-        ReplicationError::Store(e)
+impl From<RecoveryError> for ReplicationError {
+    fn from(e: RecoveryError) -> Self {
+        ReplicationError::Disk(e)
     }
 }
 
@@ -156,7 +148,8 @@ impl From<StoreError> for ReplicationError {
 pub struct ReplicatedOutcome {
     /// The surviving node's whole-horizon metrics, directly comparable
     /// with [`crate::resilient::run_chaos`]; `metrics.replication`
-    /// carries the protocol counters.
+    /// carries the protocol counters, and `metrics.storage` the
+    /// primary's storage-guard accounting when it has a guard.
     pub metrics: RunMetrics,
     /// The surviving node's final learned state — the failover harness
     /// compares this bit-for-bit against a clean single-node run.
@@ -166,14 +159,10 @@ pub struct ReplicatedOutcome {
     /// The follower's `(day, batch)` position at the moment it
     /// promoted (its verified watermark), if it did.
     pub promoted_at: Option<(usize, usize)>,
-    /// Protocol counters (also threaded into `metrics.replication`).
-    pub replication: ReplicationStats,
     /// For runs the primary survived: whether the follower's replayed
     /// state converged bit-identically to the primary's. `None` when
     /// the follower was promoted (it *is* the surviving state then).
     pub follower_converged: Option<bool>,
-    /// WAL records pruned below acked watermarks over the run.
-    pub wal_pruned: u64,
 }
 
 /// One node's serving pipeline: the core over the resilient LACB
@@ -181,93 +170,34 @@ pub struct ReplicatedOutcome {
 /// twin by verified replay and, after promotion, directly.
 type Node<'a> = Engine<'a, ResilientAssigner<Lacb>>;
 
-/// The primary's storage: its WAL and checkpoint store. As the primary
-/// engine's sink it appends each unit's record before the unit takes
-/// effect and keeps it for shipping. In tolerant mode a failing handle
-/// is latched off and the fault counted; otherwise the fault is fatal.
+/// The primary engine's sink: its [`DiskState`] logs each unit's record
+/// before the unit takes effect, and the record is kept for shipping.
 struct PrimaryDisk {
-    store: Option<CheckpointStore>,
-    wal: Option<Wal>,
-    tolerant: bool,
+    disk: DiskState,
     /// The record committed last, waiting to be shipped.
     shipped: Option<WalRecord>,
-    storage_faults: u64,
-    checkpoints_skipped: u64,
-    prunes_skipped: u64,
+    /// WAL records pruned below acked watermarks.
     pruned: u64,
 }
 
 impl PrimaryDisk {
+    /// Open the primary's store and WAL. The replicated primary starts
+    /// a fresh log; composing replication with single-node crash
+    /// recovery is `supervisor`'s job.
     fn open(repl: &ReplicationConfig) -> Result<Self, ReplicationError> {
-        let mut disk = PrimaryDisk {
-            store: None,
-            wal: None,
-            tolerant: repl.tolerate_storage_faults,
-            shipped: None,
-            storage_faults: 0,
-            checkpoints_skipped: 0,
-            prunes_skipped: 0,
-            pruned: 0,
-        };
-        match CheckpointStore::open_with(repl.vfs.clone(), &repl.dir, CHECKPOINT_GENERATIONS) {
-            Ok(s) => disk.store = Some(s),
-            Err(e) => disk.absorb(e)?,
-        }
-        // The replicated primary starts a fresh log; composing
-        // replication with single-node crash recovery is `supervisor`'s
-        // job.
-        match Wal::recover_with(repl.vfs.clone(), &repl.dir.join(REPLICA_WAL_FILE)) {
-            Ok((w, _, _)) => disk.wal = Some(w),
-            Err(e) => disk.absorb(e)?,
-        }
-        Ok(disk)
+        let (disk, _, _) = DiskState::open(&repl.vfs, &repl.dir, repl.storage)?;
+        Ok(PrimaryDisk { disk, shipped: None, pruned: 0 })
     }
 
-    /// Count a storage fault in tolerant mode; fail otherwise.
-    fn absorb(&mut self, e: impl Into<ReplicationError>) -> Result<(), ReplicationError> {
-        if !self.tolerant {
-            return Err(e.into());
-        }
-        self.storage_faults += 1;
-        Ok(())
-    }
-
-    /// Append to the WAL. A failed append latches the WAL off: the
-    /// follower's acked watermark is the durability story from there on.
-    fn append(&mut self, rec: &WalRecord) -> Result<(), ReplicationError> {
-        if let Some(Err(e)) = self.wal.as_mut().map(|w| w.append(rec)) {
-            self.absorb(e)?;
-            self.wal = None;
-        }
-        Ok(())
-    }
-
-    /// Save the boundary checkpoint, log its WAL mark, and prune the WAL
-    /// below `prune_day`. A missing or failing store or WAL counts the
-    /// skip: a degraded WAL has nothing safe to prune.
+    /// Cut the boundary checkpoint, then prune the WAL below `prune_day`.
     fn checkpoint(
         &mut self,
         boundary: usize,
         text: &str,
         prune_day: usize,
     ) -> Result<(), ReplicationError> {
-        match self.store.as_ref().map(|s| s.save(boundary, text, None)) {
-            Some(Ok(_)) => self.append(&WalRecord::Checkpoint { next_day: boundary })?,
-            Some(Err(e)) => {
-                self.absorb(e)?;
-                self.checkpoints_skipped += 1;
-            }
-            None => self.checkpoints_skipped += 1,
-        }
-        match self.wal.as_mut().map(|w| w.prune_to_watermark(prune_day)) {
-            Some(Ok(n)) => self.pruned += n as u64,
-            Some(Err(e)) => {
-                self.absorb(e)?;
-                self.prunes_skipped += 1;
-                self.wal = None;
-            }
-            None => self.prunes_skipped += 1,
-        }
+        self.disk.checkpoint(boundary, text, None)?;
+        self.pruned += self.disk.prune(prune_day)?;
         Ok(())
     }
 }
@@ -276,9 +206,10 @@ impl Sink<ResilientAssigner<Lacb>> for PrimaryDisk {
     type Error = ReplicationError;
 
     fn commit(&mut self, rec: &WalRecord) -> Result<Option<Logged>, ReplicationError> {
-        self.append(rec)?;
+        self.disk.tick(rec);
+        let logged = self.disk.append(rec)?;
         self.shipped = Some(rec.clone());
-        Ok(self.wal.as_ref().map(|_| Logged::Disk))
+        Ok(Some(logged))
     }
 }
 
@@ -386,7 +317,7 @@ pub fn run_replicated(
     repl: &ReplicationConfig,
 ) -> Result<ReplicatedOutcome, ReplicationError> {
     let spiked = dataset.with_batch_spikes(&plan);
-    let mut disk = PrimaryDisk::open(repl)?;
+    let mut sink = PrimaryDisk::open(repl)?;
     let mut ladder_p = ResilientAssigner::new(Lacb::new(cfg.clone()), rcfg.clone());
     let mut ladder_f = ResilientAssigner::new(Lacb::new(cfg), rcfg);
     let mut engine_p = Engine::new(&spiked, core::platform(&spiked, plan), &mut ladder_p);
@@ -417,8 +348,8 @@ pub fn run_replicated(
             }
         }
         if primary_alive {
-            engine_p.step(&mut disk)?;
-            let rec = disk.shipped.take().expect("every unit commits a record");
+            engine_p.step(&mut sink)?;
+            let rec = sink.shipped.take().expect("every unit commits a record");
             let frame = primary.ship(rec.clone());
             let line = frame.encode();
             let mid_frame_kill = match (repl.kill, &rec) {
@@ -455,7 +386,7 @@ pub fn run_replicated(
                         // atomic rename never promoted — invisible to
                         // every reader, exactly like a crashed save.
                         let healthy =
-                            disk.store.as_ref().expect("kill harness runs on a healthy disk");
+                            sink.disk.store.as_ref().expect("kill harness runs on a healthy disk");
                         let tmp = tmp_path(&healthy.generation_path(d + 1));
                         repl.vfs.write(&tmp, &text.as_bytes()[..text.len() / 2]).map_err(|e| {
                             ReplicationError::Protocol(format!("torn tmp write failed: {e}"))
@@ -469,7 +400,7 @@ pub fn run_replicated(
                             Some(FramePayload::Record(r)) => r.day(),
                             _ => d + 1,
                         };
-                        disk.checkpoint(d + 1, &text, prune_day)?;
+                        sink.checkpoint(d + 1, &text, prune_day)?;
                         if repl.kill == Some(KillPoint::AfterCheckpoint { day: d }) {
                             primary_alive = false;
                         }
@@ -589,7 +520,7 @@ pub fn run_replicated(
         core::learned_state(&ladder_f) == core::learned_state(&ladder_p)
             && follower.watermark() == primary.next_seq()
     });
-    let replication = ReplicationStats {
+    metrics.replication = Some(ReplicationStats {
         epoch: if promoted { follower.epoch() } else { primary.epoch() },
         promotions: follower.stats().promotions,
         frames_shipped: link.stats().sent,
@@ -601,31 +532,30 @@ pub fn run_replicated(
         stale_epoch_rejected: follower.stats().stale_epoch_rejected,
         heartbeats_missed: detector.total_missed(),
         acked_watermark: primary.acked(),
-        pruned_records: disk.pruned,
+        pruned_records: sink.pruned,
         max_lag: primary.max_lag(),
-        primary_storage_faults: disk.storage_faults,
-        checkpoints_skipped: disk.checkpoints_skipped,
-        prunes_skipped: disk.prunes_skipped,
-    };
-    metrics.replication = Some(replication.clone());
+    });
+    metrics.storage = sink.disk.finish();
     let survivor = if promoted { &ladder_f } else { &ladder_p };
     Ok(ReplicatedOutcome {
         metrics,
         final_state: core::learned_state(survivor),
         promoted,
         promoted_at,
-        replication,
         follower_converged,
-        wal_pruned: disk.pruned,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::CHECKPOINT_GENERATIONS;
     use crate::testkit::{assert_bit_identical, chaos_plan, dataset, reference, scratch};
-    use durability::{parse_v2_section, StorageError};
-    use platform_sim::{seeded_kill_schedule, NetFaultConfig};
+    use durability::{parse_v2_section, CheckpointStore, StorageError, VfsOp};
+    use platform_sim::{
+        seeded_kill_schedule, FaultVfs, NetFaultConfig, SingleFault, SingleFaultKind,
+        StorageFaultConfig, StorageMode,
+    };
     use std::sync::Mutex;
 
     /// The real filesystem, recording every path written whole.
@@ -667,6 +597,62 @@ mod tests {
         NetFaultPlan::new(NetFaultConfig { seed, ..NetFaultConfig::default() })
     }
 
+    /// A disk that fails every operation.
+    fn dead_disk() -> FaultVfs {
+        FaultVfs::new(StorageFaultConfig {
+            seed: 11,
+            disk_gone: 1.0,
+            disk_gone_every: 1,
+            disk_gone_span: 1,
+            ..StorageFaultConfig::default()
+        })
+    }
+
+    /// A disk on which every rename fails, so no checkpoint ever lands.
+    fn no_renames() -> FaultVfs {
+        FaultVfs::new(StorageFaultConfig {
+            seed: 13,
+            rename_fail: 1.0,
+            ..StorageFaultConfig::default()
+        })
+    }
+
+    /// A healthy disk whose sixth WAL append fails with ENOSPC.
+    fn one_failed_append() -> FaultVfs {
+        FaultVfs::single(SingleFault { op: VfsOp::Append, index: 5, kind: SingleFaultKind::Enospc })
+    }
+
+    /// A replicated run of the shared world whose primary writes to `vfs`.
+    fn run_on_disk(
+        name: &str,
+        vfs: FaultVfs,
+        storage: Option<StorageConfig>,
+    ) -> Result<ReplicatedOutcome, ReplicationError> {
+        let dir = scratch(name);
+        let mut repl = ReplicationConfig::at(&dir).with_vfs(Arc::new(vfs));
+        repl.storage = storage;
+        let out = run_replicated(
+            &dataset(233),
+            LacbConfig::default(),
+            ResilienceConfig::default(),
+            chaos_plan(151),
+            quiet_net(5),
+            &repl,
+        );
+        std::fs::remove_dir_all(&dir).ok();
+        out
+    }
+
+    /// The primary survived and the follower converged to the in-memory
+    /// reference bit for bit.
+    fn assert_converged(out: &ReplicatedOutcome) {
+        let (reference_metrics, reference_state) = reference(&dataset(233), chaos_plan(151));
+        assert!(!out.promoted);
+        assert_eq!(out.follower_converged, Some(true));
+        assert_bit_identical(&out.metrics, &reference_metrics);
+        assert_eq!(out.final_state, reference_state);
+    }
+
     #[test]
     fn clean_replicated_run_matches_run_chaos_and_converges() {
         let ds = dataset(211);
@@ -686,13 +672,14 @@ mod tests {
         assert_eq!(out.follower_converged, Some(true));
         assert_bit_identical(&out.metrics, &reference_metrics);
         assert_eq!(out.final_state, reference_state);
-        let repl = &out.replication;
+        let repl = out.metrics.replication.as_ref().unwrap();
         assert_eq!(repl.promotions, 0);
         assert_eq!(repl.stale_epoch_rejected, 0);
         assert_eq!(repl.corrupt_rejected, 0);
         assert!(repl.frames_applied > 0);
         assert!(repl.acked_watermark > 0, "acks must flow back");
-        assert!(out.wal_pruned > 0, "acked prefix must be pruned");
+        assert!(repl.pruned_records > 0, "acked prefix must be pruned");
+        assert_eq!(out.metrics.storage, None, "no guard, no storage accounting");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -718,15 +705,16 @@ mod tests {
             )
             .unwrap_or_else(|e| panic!("failover after {} failed: {e}", point.label()));
             assert!(out.promoted, "kill {} must promote the follower", point.label());
+            let repl = out.metrics.replication.as_ref().unwrap();
             assert!(
-                out.replication.stale_epoch_rejected > 0,
+                repl.stale_epoch_rejected > 0,
                 "kill {} must fence stale frames",
                 point.label()
             );
             assert_bit_identical(&out.metrics, &reference_metrics);
             assert_eq!(out.final_state, reference_state, "state diverged after {}", point.label());
             if matches!(point, KillPoint::MidFrame { .. }) {
-                assert!(out.replication.corrupt_rejected > 0, "torn frame must be CRC-rejected");
+                assert!(repl.corrupt_rejected > 0, "torn frame must be CRC-rejected");
             }
             std::fs::remove_dir_all(&dir).ok();
         }
@@ -751,7 +739,7 @@ mod tests {
         assert_eq!(out.follower_converged, Some(true), "lossy link must still converge");
         assert_bit_identical(&out.metrics, &reference_metrics);
         assert_eq!(out.final_state, reference_state);
-        let repl = &out.replication;
+        let repl = out.metrics.replication.as_ref().unwrap();
         assert!(
             repl.frames_dropped + repl.duplicates_dropped + repl.corrupt_rejected > 0,
             "lossy scenario must actually exercise the fault families: {repl:?}"
@@ -760,43 +748,50 @@ mod tests {
     }
 
     #[test]
-    fn primary_storage_faults_latch_and_shipping_still_converges() {
-        let ds = dataset(233);
-        let plan = chaos_plan(151);
-        let dir = scratch("storage-tolerant");
-        // A disk that fails every operation: the primary runs fully
-        // diskless, yet the follower still converges bit-identically —
-        // the acked watermark is the durability story.
-        let dead = platform_sim::StorageFaultConfig {
-            seed: 11,
-            disk_gone: 1.0,
-            disk_gone_every: 1,
-            disk_gone_span: 1,
-            ..platform_sim::StorageFaultConfig::default()
-        };
-        let repl = ReplicationConfig::at(&dir)
-            .with_vfs(Arc::new(platform_sim::FaultVfs::new(dead)))
-            .tolerant();
-        let out = run_replicated(
-            &ds,
-            LacbConfig::default(),
-            ResilienceConfig::default(),
-            plan,
-            quiet_net(5),
-            &repl,
-        )
-        .unwrap();
-        let (reference_metrics, reference_state) = reference(&ds, plan);
-        assert!(!out.promoted);
-        assert_eq!(out.follower_converged, Some(true));
-        assert_bit_identical(&out.metrics, &reference_metrics);
-        assert_eq!(out.final_state, reference_state);
-        let stats = &out.replication;
-        assert!(stats.primary_storage_faults > 0, "{stats:?}");
-        assert!(stats.checkpoints_skipped > 0, "{stats:?}");
-        assert!(stats.prunes_skipped > 0, "{stats:?}");
-        assert_eq!(out.wal_pruned, 0, "a dead disk has nothing to prune");
-        std::fs::remove_dir_all(&dir).ok();
+    fn guarded_primary_on_a_failing_disk_degrades_and_shipping_still_converges() {
+        // The dead disk serves diskless from birth. On the other, the
+        // first day-boundary checkpoint fails while the WAL is still
+        // open: the primary degrades there and must not write that WAL
+        // again, not even to prune it. Either way the follower converges
+        // bit-identically — the acked watermark is the durability story
+        // — and the guard accounts for every record.
+        for (name, disk) in [("storage-dead", dead_disk()), ("storage-no-renames", no_renames())] {
+            let out = run_on_disk(name, disk, Some(StorageConfig::default())).unwrap();
+            assert_converged(&out);
+            let storage = out.metrics.storage.as_ref().expect("guard enabled");
+            assert!(storage.faults > 0, "{name}: {storage:?}");
+            assert_eq!(storage.wal_append_failures, 0, "{name}: {storage:?}");
+            assert!(storage.accounting_balanced(), "{name}: unbalanced: {storage:?}");
+            assert_eq!(storage.final_mode, StorageMode::Degraded, "{name}: {storage:?}");
+            let repl = out.metrics.replication.as_ref().unwrap();
+            assert_eq!(repl.pruned_records, 0, "{name}: a degraded WAL is never pruned");
+        }
+    }
+
+    #[test]
+    fn guarded_primary_resyncs_after_a_single_fault_and_still_converges() {
+        let out =
+            run_on_disk("storage-resync", one_failed_append(), Some(StorageConfig::default()))
+                .unwrap();
+        assert_converged(&out);
+        let storage = out.metrics.storage.as_ref().expect("guard enabled");
+        assert_eq!(storage.faults, 1, "{storage:?}");
+        assert_eq!(storage.wal_append_failures, 1, "{storage:?}");
+        assert!(storage.resyncs_completed >= 1, "{storage:?}");
+        assert_eq!(storage.final_mode, StorageMode::Durable, "{storage:?}");
+        assert!(storage.buffered_total > 0, "records must buffer while degraded");
+        assert!(storage.accounting_balanced(), "unbalanced: {storage:?}");
+        let repl = out.metrics.replication.as_ref().unwrap();
+        assert!(repl.pruned_records > 0, "the resynced WAL must be pruned again");
+    }
+
+    #[test]
+    fn unguarded_primary_disk_fault_is_a_typed_error() {
+        // At startup the store cannot open; mid-run a WAL append fails.
+        let err = run_on_disk("storage-fatal-open", dead_disk(), None).unwrap_err();
+        assert!(matches!(err, ReplicationError::Disk(RecoveryError::Store(_))), "got {err}");
+        let err = run_on_disk("storage-fatal-append", one_failed_append(), None).unwrap_err();
+        assert!(matches!(err, ReplicationError::Disk(RecoveryError::Wal(_))), "got {err}");
     }
 
     #[test]

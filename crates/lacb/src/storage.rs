@@ -41,14 +41,16 @@ use durability::WalRecord;
 use platform_sim::{StorageMode, StorageStats, StorageTransition};
 use std::collections::VecDeque;
 
+/// Breaker for the WAL/checkpoint component. It trips on the **first**
+/// failure: a WAL gap would break strict-sequence replay, so writing
+/// must stop immediately; the breaker's job is pacing *re-entry* (one
+/// probe per 6-batch cooldown), not tolerating repeated failures.
+const BREAKER: BreakerConfig =
+    BreakerConfig { trip_after: 1, cooldown_ticks: 6, half_open_probes: 1 };
+
 /// Tuning of the degraded-mode machine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StorageConfig {
-    /// Breaker for the WAL/checkpoint component. The default trips on
-    /// the **first** failure: a WAL gap would break strict-sequence
-    /// replay, so writing must stop immediately; the breaker's job is
-    /// pacing *re-entry*, not tolerating repeated failures.
-    pub breaker: BreakerConfig,
     /// Replay-buffer capacity in records; the oldest record is dropped
     /// (and counted) on overflow.
     pub buffer_cap: usize,
@@ -56,10 +58,7 @@ pub struct StorageConfig {
 
 impl Default for StorageConfig {
     fn default() -> Self {
-        StorageConfig {
-            breaker: BreakerConfig { trip_after: 1, cooldown_ticks: 6, half_open_probes: 1 },
-            buffer_cap: 4096,
-        }
+        StorageConfig { buffer_cap: 4096 }
     }
 }
 
@@ -105,7 +104,7 @@ impl StorageGuard {
     /// A guard starting Durable at tick 0.
     pub fn new(cfg: StorageConfig) -> Self {
         StorageGuard {
-            breaker: CircuitBreaker::new(cfg.breaker),
+            breaker: CircuitBreaker::new(BREAKER),
             cfg,
             mode: StorageMode::Durable,
             buffer: VecDeque::new(),
@@ -296,8 +295,7 @@ mod tests {
 
     #[test]
     fn bounded_buffer_drops_oldest_with_exact_accounting() {
-        let cfg = StorageConfig { buffer_cap: 3, ..StorageConfig::default() };
-        let mut g = StorageGuard::new(cfg);
+        let mut g = StorageGuard::new(StorageConfig { buffer_cap: 3 });
         g.storage_fault(FaultSite::WalAppend, "x");
         for day in 0..5 {
             g.buffer_record(rec(day));

@@ -88,10 +88,6 @@ impl DurableConfig {
         self.storage = Some(storage);
         self
     }
-
-    fn wal_path(&self) -> PathBuf {
-        self.dir.join(WAL_FILE)
-    }
 }
 
 /// Why a durable run could not start, recover, or stay consistent.
@@ -250,9 +246,11 @@ fn repair_via_store(
     }
 }
 
-/// The durable loop's view of its storage: the checkpoint store, the
-/// WAL, and (when [`DurableConfig::storage`] is set) the degraded-mode
-/// [`StorageGuard`] that absorbs their failures.
+/// A serving node's storage: the checkpoint store, the WAL, and (when
+/// [`DurableConfig::storage`] or [`crate::ReplicationConfig::storage`]
+/// is set) the degraded-mode [`StorageGuard`] that absorbs their
+/// failures. The durable loop and the replicated primary both write
+/// through it.
 ///
 /// Without a guard every method keeps the legacy contract — the first
 /// storage failure is a typed [`RecoveryError`]. With a guard a failing
@@ -262,34 +260,38 @@ fn repair_via_store(
 /// plus a fresh WAL and re-arms both handles. Degraded paths never
 /// touch the matcher, the platform, or the ledger, so a degraded run's
 /// serving results stay bit-identical to a fault-free run.
-struct DiskState {
+pub(crate) struct DiskState {
     vfs: Arc<dyn Vfs>,
     dir: PathBuf,
-    wal_path: PathBuf,
-    store: Option<CheckpointStore>,
+    pub(crate) store: Option<CheckpointStore>,
     wal: Option<Wal>,
     guard: Option<StorageGuard>,
+    /// The batch whose guard tick has been taken.
+    ticked: Option<(usize, usize)>,
 }
 
 impl DiskState {
-    /// Open the store and recover the WAL through the configured VFS.
+    /// Open the store in `dir` and recover its WAL through `vfs`.
     /// With a guard, startup failures degrade instead of aborting: the
     /// run starts diskless and resyncs once the disk heals. Recovered
     /// WAL records are kept for replay even when the handles degrade.
-    fn open(dcfg: &DurableConfig) -> Result<(Self, Vec<WalRecord>, WalRecovery), RecoveryError> {
-        let mut guard = dcfg.storage.map(StorageGuard::new);
-        let store =
-            match CheckpointStore::open_with(dcfg.vfs.clone(), &dcfg.dir, CHECKPOINT_GENERATIONS) {
-                Ok(s) => Some(s),
-                Err(e) => match guard.as_mut() {
-                    Some(g) => {
-                        g.storage_fault(FaultSite::Startup, &e.to_string());
-                        None
-                    }
-                    None => return Err(e.into()),
-                },
-            };
-        let (wal, records, recovery) = match Wal::recover_with(dcfg.vfs.clone(), &dcfg.wal_path()) {
+    pub(crate) fn open(
+        vfs: &Arc<dyn Vfs>,
+        dir: &Path,
+        storage: Option<StorageConfig>,
+    ) -> Result<(Self, Vec<WalRecord>, WalRecovery), RecoveryError> {
+        let mut guard = storage.map(StorageGuard::new);
+        let store = match CheckpointStore::open_with(vfs.clone(), dir, CHECKPOINT_GENERATIONS) {
+            Ok(s) => Some(s),
+            Err(e) => match guard.as_mut() {
+                Some(g) => {
+                    g.storage_fault(FaultSite::Startup, &e.to_string());
+                    None
+                }
+                None => return Err(e.into()),
+            },
+        };
+        let (wal, records, recovery) = match Wal::recover_with(vfs.clone(), &dir.join(WAL_FILE)) {
             Ok((w, records, recovery)) => (Some(w), records, recovery),
             Err(e) => match guard.as_mut() {
                 Some(g) => {
@@ -303,30 +305,26 @@ impl DiskState {
         // so even a healthy WAL must stop accepting appends: drop the
         // handle and run degraded from birth.
         let wal = if guard.as_ref().is_some_and(|g| !g.durable()) { None } else { wal };
-        Ok((
-            DiskState {
-                vfs: dcfg.vfs.clone(),
-                dir: dcfg.dir.clone(),
-                wal_path: dcfg.wal_path(),
-                store,
-                wal,
-                guard,
-            },
-            records,
-            recovery,
-        ))
+        let disk =
+            DiskState { vfs: vfs.clone(), dir: dir.to_path_buf(), store, wal, guard, ticked: None };
+        Ok((disk, records, recovery))
     }
 
-    /// Advance the guard's integer clock by one batch.
-    fn tick(&mut self) {
-        if let Some(g) = self.guard.as_mut() {
-            g.advance_tick();
+    /// Advance the guard's integer clock once per batch: the batch's
+    /// first record (its admission, or else its assignment) ticks it.
+    pub(crate) fn tick(&mut self, rec: &WalRecord) {
+        let (_, day, batch) = unit_of(rec);
+        if let Some(b) = batch.filter(|&b| self.ticked != Some((day, b))) {
+            if let Some(g) = self.guard.as_mut() {
+                g.advance_tick();
+            }
+            self.ticked = Some((day, b));
         }
     }
 
     /// Append a record: to the WAL while Durable, to the bounded replay
     /// buffer while degraded. Only the guard-less legacy path can fail.
-    fn append(&mut self, rec: &WalRecord) -> Result<Logged, RecoveryError> {
+    pub(crate) fn append(&mut self, rec: &WalRecord) -> Result<Logged, RecoveryError> {
         if self.guard.is_none() {
             let wal = self.wal.as_mut().expect("legacy path always holds a WAL");
             wal.append(rec)?;
@@ -353,7 +351,7 @@ impl DiskState {
     /// marker (failures degrade). While Degraded: attempt a resync iff
     /// the breaker's cooldown has elapsed. Returns how the checkpoint
     /// marker was logged, or `None` when the boundary stayed diskless.
-    fn checkpoint(
+    pub(crate) fn checkpoint(
         &mut self,
         boundary: usize,
         text: &str,
@@ -429,7 +427,7 @@ impl DiskState {
                 return;
             }
         };
-        let fresh = Wal::create_with(self.vfs.clone(), &self.wal_path)
+        let fresh = Wal::create_with(self.vfs.clone(), &self.dir.join(WAL_FILE))
             .and_then(|mut w| w.append(&WalRecord::Checkpoint { next_day: boundary }).map(|()| w));
         match fresh {
             Ok(w) => {
@@ -448,9 +446,29 @@ impl DiskState {
         }
     }
 
+    /// Drop the WAL's records of days before `day`; returns how many
+    /// went. Only a Durable WAL is pruned: a degraded one is stale. A
+    /// failed prune is a WAL write fault — fatal without a guard, a
+    /// degradation with one.
+    pub(crate) fn prune(&mut self, day: usize) -> Result<u64, RecoveryError> {
+        let durable = self.guard.as_ref().is_none_or(StorageGuard::durable);
+        let Some(wal) = self.wal.as_mut().filter(|_| durable) else {
+            return Ok(0);
+        };
+        match (wal.prune_to_watermark(day), self.guard.as_mut()) {
+            (Ok(n), _) => Ok(n as u64),
+            (Err(e), None) => Err(e.into()),
+            (Err(e), Some(g)) => {
+                g.storage_fault(FaultSite::WalAppend, &e.to_string());
+                self.wal = None;
+                Ok(0)
+            }
+        }
+    }
+
     /// Consume the guard into its final accounting (`None` when storage
     /// fault tolerance was not enabled).
-    fn finish(mut self) -> Option<platform_sim::StorageStats> {
+    pub(crate) fn finish(mut self) -> Option<platform_sim::StorageStats> {
         self.guard.take().map(StorageGuard::finish)
     }
 }
@@ -474,8 +492,6 @@ struct WalSink {
     /// Whether the last committed record came from the replay tail.
     replaying: bool,
     replayed_batches: usize,
-    /// The batch whose storage-guard tick has been taken.
-    ticked: Option<(usize, usize)>,
     donor_cfg: LacbConfig,
     num_brokers: usize,
 }
@@ -485,11 +501,7 @@ impl Sink<ResilientAssigner<Lacb>> for WalSink {
 
     fn commit(&mut self, rec: &WalRecord) -> Result<Option<Logged>, RecoveryError> {
         let (_, day, batch) = unit_of(rec);
-        // The storage guard's clock advances once per batch.
-        if let Some(b) = batch.filter(|&b| self.ticked != Some((day, b))) {
-            self.disk.tick();
-            self.ticked = Some((day, b));
-        }
+        self.disk.tick(rec);
         self.replaying = self.tail.front().is_some_and(|logged| unit_of(logged) == unit_of(rec));
         if self.replaying {
             let logged = self.tail.pop_front().expect("front just matched");
@@ -554,7 +566,7 @@ fn serve_durable(
     let mut platform = core::platform(&spiked, plan);
     let num_brokers = platform.num_brokers();
 
-    let (disk, records, wal_recovery) = DiskState::open(dcfg)?;
+    let (disk, records, wal_recovery) = DiskState::open(&dcfg.vfs, &dcfg.dir, dcfg.storage)?;
     let (restored, generations_skipped) =
         restore_last_good(disk.store.as_ref(), &cfg, &mut platform);
     let recovered_from = restored.as_ref().map(|(day, _)| *day);
@@ -591,7 +603,6 @@ fn serve_durable(
         crash: dcfg.crash,
         replaying: false,
         replayed_batches: 0,
-        ticked: None,
         donor_cfg: cfg,
         num_brokers,
     };

@@ -1139,6 +1139,45 @@ mod tests {
     }
 
     #[test]
+    fn reset_solver_reproduces_a_fresh_one_bitwise() {
+        // One solver reused across a stream of unrelated instances and
+        // reset before each answers exactly as a fresh one: no warm
+        // state of the last instance leaks into the next solve. Runs of
+        // four instances share a column count, so a leak could warm-start.
+        let mut next = lcg(314159);
+        let instances: Vec<(UtilityMatrix, SparseUtility)> = (0..24)
+            .map(|i| {
+                let rows = 1 + i % 4;
+                let cols = 4 + (i / 4) % 3;
+                let u = UtilityMatrix::from_fn(rows, cols, |_, _| next() * 2.0 - 0.5);
+                // Every row keeps more than `rows` candidates: feasible.
+                let g = top_k_sparsify(&u, (rows + 1).min(cols));
+                (u, g)
+            })
+            .collect();
+        type Solve = fn(&mut KmSolver, &UtilityMatrix, &SparseUtility) -> AssignmentResult;
+        let solves: [(&str, Solve); 3] = [
+            ("rect", |s, u, _| s.solve(u)),
+            ("padded", |s, u, _| s.solve_padded(u)),
+            ("sparse", |s, _, g| s.solve_sparse(g)),
+        ];
+        for (kind, solve) in solves {
+            let mut reused = KmSolver::new();
+            for (i, (u, g)) in instances.iter().enumerate() {
+                reused.reset();
+                let mut fresh = KmSolver::new();
+                let a = solve(&mut reused, u, g);
+                let b = solve(&mut fresh, u, g);
+                assert_eq!(a.row_to_col, b.row_to_col, "instance {i} {kind}");
+                assert_eq!(a.total.to_bits(), b.total.to_bits(), "instance {i} {kind}");
+                // Relaxation work is a deterministic count that a warm
+                // start would change.
+                assert_eq!(reused.last_ops(), fresh.last_ops(), "instance {i} {kind}");
+            }
+        }
+    }
+
+    #[test]
     fn loaded_potentials_warm_start_a_changed_column_set() {
         // Broker-keyed duals gathered for a different active set must
         // still give optimal balanced solves (correctness is independent

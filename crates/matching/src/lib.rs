@@ -25,7 +25,6 @@ pub mod flow;
 pub mod graph;
 pub mod greedy;
 pub mod hungarian;
-pub mod parallel;
 pub mod sparse;
 
 pub use auction::auction_assignment;
@@ -40,5 +39,4 @@ pub use hungarian::{
     try_max_weight_assignment, try_max_weight_assignment_padded, CertifyMode, KmCertificate,
     KmSolver, MatchingError, SolveShape, SANITIZED_UTILITY,
 };
-pub use parallel::{solve_shards, solve_shards_padded, solve_shards_sparse};
 pub use sparse::SparseUtility;

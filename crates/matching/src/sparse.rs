@@ -158,16 +158,6 @@ impl SparseUtility {
         self.to_dense_masked_into(mask, &mut out);
         out
     }
-
-    /// Estimated work units (≈ ns) to solve this instance: each of the
-    /// ~`rows` augmenting searches walks ~`depth ≈ rows` steps of
-    /// `O(k + touched)` relaxation, i.e. ~`2·rows·k·depth ≈ 2·rows·nnz`
-    /// plus the `O(cols)` per-row scan floors. Feeds the pool's adaptive
-    /// sequential cutoff; a pure function of the shape, so scheduling
-    /// stays deterministic.
-    pub fn estimated_solve_work(&self) -> u64 {
-        2 * self.rows as u64 * (self.nnz() as u64 + self.cols as u64)
-    }
 }
 
 #[cfg(test)]

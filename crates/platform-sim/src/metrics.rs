@@ -559,15 +559,6 @@ pub struct ReplicationStats {
     /// Maximum replication lag observed (shipped seq − acked
     /// watermark).
     pub max_lag: u64,
-    /// Primary-side storage faults absorbed in fault-tolerant mode
-    /// (WAL append/recover, store open/save). Shipping continues from
-    /// the follower's acked watermark regardless.
-    pub primary_storage_faults: u64,
-    /// Day-boundary checkpoints the primary skipped because its store
-    /// was failing.
-    pub checkpoints_skipped: u64,
-    /// Watermark prunes skipped because the primary's WAL was degraded.
-    pub prunes_skipped: u64,
 }
 
 /// Which runtime invariant an audit found violated.
