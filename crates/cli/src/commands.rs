@@ -1,6 +1,7 @@
 //! Subcommand implementations.
 
 use crate::args::Args;
+use crate::harness::{caught, Fail};
 use bandit::{
     CandidateCapacities, CapacityEstimator, EpsilonGreedy, LinUcb, LinearThompson, NeuralUcb,
     NnUcb, RegretTracker,
@@ -19,9 +20,10 @@ use std::time::Duration;
 /// Typed CLI failure. `Usage` (exit 1) means the invocation itself was
 /// wrong — bad flags, unknown names, unreadable inputs — and the usage
 /// text is shown. `Gate` (exit 2) means the invocation was fine but a
-/// harness gate tripped: a recovery diverged, a latency floor was
-/// breached, an audit violation escaped repair. CI distinguishes the
-/// two: exit 1 is a broken pipeline definition, exit 2 a real finding.
+/// harness gate tripped: a recovery diverged, a panic escaped the
+/// degradation ladder, an audit violation escaped repair. CI
+/// distinguishes the two: exit 1 is a broken pipeline definition, exit
+/// 2 a real finding.
 #[derive(Clone, Debug)]
 pub enum CliError {
     /// Invalid invocation; exits 1 and prints [`USAGE`].
@@ -60,8 +62,6 @@ pub const USAGE: &str = "usage:
                 [--algo …as in run] [--fault-seed N] [--raw]
                 [--deadline-ms MS] [--checkpoint-day D]
                 [--checkpoint-out FILE] [synthetic flags]
-  caam bench-serve [--quick] [--threads 1,2,4,8] [--repeat N] [--out FILE]
-                [--baseline FILE] [--slack-ms X] [--seed N]
   caam crash-test [--points N] [--crash-seed N] [--scenario …as in chaos]
                 [--fault-seed N] [--dir DIR] [--keep-artifacts]
                 [synthetic flags]
@@ -102,7 +102,6 @@ pub fn dispatch(argv: &[String]) -> Result<(), CliError> {
         "chaos" => cmd_chaos(&args),
         "crash-test" => crate::crash_test::cmd_crash_test(&args),
         "failover" => crate::failover::cmd_failover(&args),
-        "bench-serve" => crate::bench_serve::cmd_bench_serve(&args),
         "overload" => crate::overload::cmd_overload(&args),
         "soak" => crate::soak::cmd_soak(&args),
         "storage-chaos" => crate::storage_chaos::cmd_storage_chaos(&args),
@@ -244,6 +243,10 @@ fn cmd_compare(args: &Args) -> Result<(), CliError> {
 /// (resilient LACB) pipeline after day `D`, restores it, finishes the
 /// horizon, and verifies it served bit-identically to the uninterrupted
 /// run (`RunMetrics::first_divergence`).
+///
+/// Every protected run goes through [`caught`]: the panics the ladder
+/// absorbs by design print nothing, and a panic that escapes it is a
+/// gate failure naming its payload. `--raw` keeps the default hook.
 fn cmd_chaos(args: &Args) -> Result<(), CliError> {
     let ds = dataset_from(args)?;
     let scenario = args.get("scenario").unwrap_or("broker-dropout+lost-feedback");
@@ -263,13 +266,14 @@ fn cmd_chaos(args: &Args) -> Result<(), CliError> {
         let ms: u64 = ms.parse().map_err(|_| format!("invalid --deadline-ms {ms:?}"))?;
         rcfg.batch_deadline = Some(Duration::from_millis(ms));
     }
+    let escaped = |text: String| CliError::from(Fail::Panic(text));
     let m = if args.has("raw") {
         let mut a = make_algo(algo_name, ds.brokers.len(), ctopk, seed)?;
         run_chaos(&ds, a.as_mut(), &RunConfig::default(), plan)
     } else {
         let primary = make_algo(algo_name, ds.brokers.len(), ctopk, seed)?;
         let mut r = ResilientAssigner::new(primary, rcfg.clone());
-        run_chaos(&ds, &mut r, &RunConfig::default(), plan)
+        caught(|| run_chaos(&ds, &mut r, &RunConfig::default(), plan)).map_err(escaped)?
     };
 
     println!("dataset    : {}", ds.name);
@@ -333,17 +337,21 @@ fn cmd_chaos(args: &Args) -> Result<(), CliError> {
         // noise, so the checkpoint verification always runs without one.
         let vcfg = ResilienceConfig::default();
         let mut direct = ResilientAssigner::new(Lacb::new(cfg.clone()), vcfg.clone());
-        let uninterrupted = run_chaos(&ds, &mut direct, &RunConfig::default(), plan);
-        let mut ckpt = checkpoint::run_chaos_until(&ds, cfg.clone(), vcfg.clone(), plan, day)
-            .map_err(|e| e.to_string())?;
+        let uninterrupted =
+            caught(|| run_chaos(&ds, &mut direct, &RunConfig::default(), plan)).map_err(escaped)?;
+        let mut ckpt =
+            caught(|| checkpoint::run_chaos_until(&ds, cfg.clone(), vcfg.clone(), plan, day))
+                .map_err(escaped)?
+                .map_err(|e| e.to_string())?;
         if let Some(path) = args.get("checkpoint-out") {
             let path = Path::new(path);
             ckpt.save(path).map_err(|e| e.to_string())?;
             ckpt = checkpoint::Checkpoint::load(path).map_err(|e| e.to_string())?;
             println!("checkpoint written : {}", path.display());
         }
-        let resumed =
-            checkpoint::resume_chaos(&ds, &ckpt, cfg, vcfg, plan).map_err(|e| e.to_string())?;
+        let resumed = caught(|| checkpoint::resume_chaos(&ds, &ckpt, cfg, vcfg, plan))
+            .map_err(escaped)?
+            .map_err(|e| e.to_string())?;
         let diverged = uninterrupted.first_divergence(&resumed);
         println!(
             "checkpoint after day {day}: uninterrupted {:.4} vs resumed {:.4} — {}",

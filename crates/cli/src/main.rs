@@ -11,10 +11,9 @@
 //!
 //! Exit codes are typed: 0 success, 1 usage error (bad flags or inputs,
 //! usage text printed), 2 gate failure (a harness verdict — recovery
-//! divergence, latency regression, audit violation escaping repair).
+//! divergence, an escaped panic, audit violation escaping repair).
 
 mod args;
-mod bench_serve;
 mod commands;
 mod crash_test;
 mod failover;

@@ -1626,14 +1626,19 @@ mod tests {
     #[test]
     fn sparse_path_is_thread_count_invariant() {
         // `parallel_cutoff: 0` forces the pool split even at this tiny
-        // scale; every thread count must replay the 1-thread horizon
+        // scale; at every thread count both the sparse path and its
+        // masked-dense oracle must replay the 1-thread sparse horizon
         // exactly (assignments and total bits).
         let base = LacbConfig { parallel_cutoff: 0, ..LacbConfig::opt() };
         let (asg1, t1) = run_collecting(base.clone(), 103);
-        for threads in [2usize, 4, 8] {
-            let (asg, t) = run_collecting(LacbConfig { n_threads: threads, ..base.clone() }, 103);
-            assert_eq!(asg1, asg, "{threads} threads diverged from 1");
-            assert_eq!(t1.to_bits(), t.to_bits());
+        for threads in [1usize, 2, 4, 8] {
+            for mode in [SparseMode::On, SparseMode::DenseOracle] {
+                let cfg =
+                    LacbConfig { n_threads: threads, sparse_assignment: mode, ..base.clone() };
+                let (asg, t) = run_collecting(cfg, 103);
+                assert_eq!(asg1, asg, "{mode:?} at {threads} threads diverged from 1-thread On");
+                assert_eq!(t1.to_bits(), t.to_bits());
+            }
         }
     }
 

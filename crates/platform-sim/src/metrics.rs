@@ -312,8 +312,8 @@ impl StageBreakdown {
 /// Per-stage wall-clock counters of the serving loop, captured by the
 /// experiment runners. Batch-level vectors have one entry per request
 /// batch; day-level vectors one entry per day. These are the raw samples
-/// behind the `bench-serve` latency report (p50/p99 per-batch assignment
-/// latency, stage shares).
+/// behind caam-bench's per-batch latency and stage metrics and the
+/// wall-clock floors of `tests/serving_floors.rs`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct StageTimings {
     /// Seconds spent in `assign_batch` (candidate selection + scoring +

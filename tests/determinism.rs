@@ -151,24 +151,21 @@ fn cutoff_boundary_holds_under_overload_ramp() {
         parallel_cutoff,
         ..LacbConfig::opt()
     };
-    let reference = run_overload(
-        &ramp.dataset,
-        cfg(1, LacbConfig::opt().parallel_cutoff),
-        ResilienceConfig::default(),
-        &ocfg,
-        plan,
-    )
-    .metrics;
+    // Every run must account for each offered request: admitted, shed
+    // with a reason, or still queued. The 4x stage must shed, or the
+    // balance proves nothing.
+    let run_at = |n_threads, cutoff| {
+        let rcfg = ResilienceConfig::default();
+        let m = run_overload(&ramp.dataset, cfg(n_threads, cutoff), rcfg, &ocfg, plan).metrics;
+        let ov = m.overload.as_ref().expect("run_overload reports overload stats");
+        assert!(ov.accounting_balanced(), "shed accounting unbalanced: {ov:?}");
+        assert!(ov.shed_total() > 0, "the 4x stage shed nothing");
+        m
+    };
+    let reference = run_at(1, LacbConfig::opt().parallel_cutoff);
     for cutoff in boundary_cutoffs(base.brokers.len()) {
         for n_threads in [2, 4] {
-            let got = run_overload(
-                &ramp.dataset,
-                cfg(n_threads, cutoff),
-                ResilienceConfig::default(),
-                &ocfg,
-                plan,
-            )
-            .metrics;
+            let got = run_at(n_threads, cutoff);
             assert_eq!(
                 reference.first_divergence(&got),
                 None,
