@@ -19,7 +19,6 @@ pub struct NnUcbScratch {
     pub(crate) enc: Vec<f64>,
     pub(crate) grad: Vec<f64>,
     pub(crate) preds: Vec<f64>,
-    pub(crate) order: Vec<usize>,
 }
 
 /// Hyper-parameters of [`NnUcb`], defaulting to the paper's values
@@ -62,10 +61,8 @@ pub struct NnUcbConfig {
 /// argmax ill-posed in two ways: every below-knee arm is reward-optimal
 /// (ties broken by noise), and a function approximator smooths the
 /// flat-then-decline shape into a strict decline whose argmax is the
-/// *smallest* arm — systematically under-capping strong brokers. The
-/// alternative policies address this; the platform's economics (serve
-/// while the broker's marginal sign-up value stays competitive) is
-/// captured by [`CapacitySelection::MarginalValue`].
+/// *smallest* arm — systematically under-capping strong brokers.
+/// [`CapacitySelection::KneePlateau`] addresses this.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum CapacitySelection {
     /// Alg. 1's literal `argmax_c UCB(x, c)`.
@@ -76,15 +73,6 @@ pub enum CapacitySelection {
     KneePlateau {
         /// Relative near-tie tolerance (e.g. `0.05`).
         tolerance: f64,
-    },
-    /// Largest capacity whose *marginal* predicted daily value
-    /// `(c_i·UCB_i − c_{i−1}·UCB_{i−1}) / (c_i − c_{i−1})` is at least
-    /// `tau` times the broker's peak predicted rate. Serving beyond that
-    /// point yields less per request than a typical alternative broker —
-    /// the knee-plus-margin cap the assignment layer actually wants.
-    MarginalValue {
-        /// Marginal-rate threshold as a fraction of the peak rate.
-        tau: f64,
     },
 }
 
@@ -101,15 +89,6 @@ impl Default for NnUcbConfig {
             selection: CapacitySelection::ArgmaxUcb,
             replay_cap: 0,
         }
-    }
-}
-
-impl NnUcbConfig {
-    /// The paper's full-width network (input 128 → 64 → 16 → 1). The
-    /// compact default is preferred for experiments because the
-    /// exploration bonus costs `O(d)`–`O(d²)` per arm per batch.
-    pub fn paper_width() -> Self {
-        Self { hidden: vec![64, 16], ..Self::default() }
     }
 }
 
@@ -200,12 +179,6 @@ impl NnUcb {
         &self.net
     }
 
-    /// Mutable access to the network (used by the personalised estimator
-    /// to sync transferred layers).
-    pub fn network_mut(&mut self) -> &mut Mlp {
-        &mut self.net
-    }
-
     /// The configuration in use.
     pub fn config(&self) -> &NnUcbConfig {
         &self.cfg
@@ -259,7 +232,6 @@ impl NnUcb {
             enc: Vec::new(),
             grad: Vec::new(),
             preds: Vec::new(),
-            order: Vec::new(),
         }
     }
 
@@ -287,7 +259,7 @@ impl NnUcb {
     /// the last arm evaluated. This avoids retaining `|C|` gradient
     /// vectors while producing bit-identical selections and gradients.
     fn best_arm_with(&self, context: &[f64], s: &mut NnUcbScratch) -> usize {
-        let NnUcbScratch { mlp, enc, grad, preds, order } = s;
+        let NnUcbScratch { mlp, enc, grad, preds } = s;
         preds.clear();
         let mut max_ucb = f64::NEG_INFINITY;
         let mut argmax_ucb = 0usize;
@@ -301,7 +273,7 @@ impl NnUcb {
             }
             preds.push(pred);
         }
-        // The plateau/marginal readings operate on the *predictions*, not
+        // The plateau reading operates on the *predictions*, not
         // the UCBs: the exploration bonus is largest exactly on the
         // rarely-served tail arms, and folding it into the deployed
         // capacity systematically over-caps every broker. (ArgmaxUcb
@@ -319,30 +291,6 @@ impl NnUcb {
                         best_cap = cap;
                         best_idx = i;
                     }
-                }
-                best_idx
-            }
-            CapacitySelection::MarginalValue { tau } => {
-                // Order arms by capacity and compute marginal predicted
-                // daily value between consecutive arms.
-                order.clear();
-                order.extend(0..preds.len());
-                order
-                    .sort_by(|&a, &b| self.arms.value(a).partial_cmp(&self.arms.value(b)).unwrap());
-                let max_pred = preds.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                let cutoff = tau * max_pred.max(0.0);
-                let mut best_idx = order[0];
-                let mut prev_total = self.arms.value(order[0]) * preds[order[0]];
-                let mut prev_cap = self.arms.value(order[0]);
-                for &i in order.iter().skip(1) {
-                    let cap = self.arms.value(i);
-                    let total = cap * preds[i];
-                    let marginal = (total - prev_total) / (cap - prev_cap);
-                    if marginal >= cutoff {
-                        best_idx = i;
-                    }
-                    prev_total = total;
-                    prev_cap = cap;
                 }
                 best_idx
             }
@@ -768,15 +716,13 @@ mod tests {
     }
 
     /// `choose` must commit the *chosen* arm's gradient to `D`, not the
-    /// last arm scored. MarginalValue typically selects an interior arm,
-    /// exercising the phase-two gradient recompute.
+    /// last arm scored. On this input both policies choose arm 20 of
+    /// 10–50, an interior arm, so the phase-two gradient recompute runs.
     #[test]
     fn choose_commits_the_chosen_arms_gradient() {
-        for selection in [
-            CapacitySelection::ArgmaxUcb,
-            CapacitySelection::KneePlateau { tolerance: 0.05 },
-            CapacitySelection::MarginalValue { tau: 0.3 },
-        ] {
+        for selection in
+            [CapacitySelection::ArgmaxUcb, CapacitySelection::KneePlateau { tolerance: 0.05 }]
+        {
             let mut rng = StdRng::seed_from_u64(33);
             let cfg = NnUcbConfig { selection, ..Default::default() };
             let mut b = NnUcb::new(&mut rng, 2, arms(), cfg);

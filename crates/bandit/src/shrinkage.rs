@@ -26,6 +26,24 @@ use crate::state;
 use crate::traits::CapacityEstimator;
 use rand::Rng;
 
+/// Plateau tolerance for reading a knee off a reward curve.
+const PLATEAU_TOL: f64 = 0.1;
+
+/// Shrinkage pseudo-count `m`: the blend weight of the broker's own
+/// evidence is `n/(n+m)`.
+const PSEUDO_COUNT: f64 = 3.0;
+
+/// Pooled trials the base needs before its curve is trusted; until then
+/// [`ShrinkageEstimator::base_knee`] returns the optimistic default (the
+/// 75th-percentile arm) — under-capping strong brokers on day one costs
+/// far more than a few overloaded days.
+const WARMUP_TRIALS: u64 = 128;
+
+/// Margin added above the detected knee: the platform-optimal cap sits
+/// slightly past the knee (serve while the broker's degraded marginal
+/// utility still beats the next-best alternative).
+pub const KNEE_MARGIN: f64 = 5.0;
+
 /// Per-broker, per-arm running reward statistics.
 #[derive(Clone, Debug)]
 struct ArmStats {
@@ -58,20 +76,6 @@ pub struct ShrinkageEstimator {
     base: NnUcb,
     stats: Vec<ArmStats>,
     arms: CandidateCapacities,
-    /// Plateau tolerance for reading a knee off a reward curve.
-    pub plateau_tol: f64,
-    /// Shrinkage pseudo-count `m`: the blend weight of the broker's own
-    /// evidence is `n/(n+m)`.
-    pub pseudo_count: f64,
-    /// Pooled trials the base needs before its curve is trusted; until
-    /// then [`Self::base_knee`] returns the optimistic default (the
-    /// 75th-percentile arm) — under-capping strong brokers on day one
-    /// costs far more than a few overloaded days.
-    pub warmup_trials: u64,
-    /// Margin added above the detected knee: the platform-optimal cap
-    /// sits slightly past the knee (serve while the broker's degraded
-    /// marginal utility still beats the next-best alternative).
-    pub knee_margin: f64,
 }
 
 impl ShrinkageEstimator {
@@ -85,15 +89,7 @@ impl ShrinkageEstimator {
     ) -> Self {
         let base = NnUcb::new(rng, context_dim, arms.clone(), cfg);
         let stats = (0..num_brokers).map(|_| ArmStats::new(arms.len())).collect();
-        Self {
-            base,
-            stats,
-            arms,
-            plateau_tol: 0.1,
-            pseudo_count: 3.0,
-            warmup_trials: 128,
-            knee_margin: 5.0,
-        }
+        Self { base, stats, arms }
     }
 
     /// Arm value at the given quantile of the sorted arm set.
@@ -168,7 +164,7 @@ impl ShrinkageEstimator {
     }
 
     /// Knee read off the base network's predicted curve for a context:
-    /// the largest arm whose prediction stays within `plateau_tol` of the
+    /// the largest arm whose prediction stays within `PLATEAU_TOL` of the
     /// best. When the curve is too flat to carry information (range below
     /// tolerance), fall back to the median arm — an uninformative prior
     /// beats reading noise.
@@ -179,7 +175,7 @@ impl ShrinkageEstimator {
 
     /// Allocation-free [`Self::base_knee`]: same value, buffers reused.
     pub fn base_knee_with(&self, context: &[f64], s: &mut NnUcbScratch) -> f64 {
-        if self.base.trials() < self.warmup_trials {
+        if self.base.trials() < WARMUP_TRIALS {
             // Untrained curves are noise; start optimistic.
             return self.arm_quantile(0.75);
         }
@@ -190,11 +186,11 @@ impl ShrinkageEstimator {
         }
         let max = s.preds.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let min = s.preds.iter().cloned().fold(f64::INFINITY, f64::min);
-        if max - min < self.plateau_tol * max.abs() {
+        if max - min < PLATEAU_TOL * max.abs() {
             // Uninformative curve: population median arm.
             return self.arm_quantile(0.5);
         }
-        let cutoff = max - self.plateau_tol * max.abs();
+        let cutoff = max - PLATEAU_TOL * max.abs();
         self.arms
             .values()
             .iter()
@@ -206,7 +202,7 @@ impl ShrinkageEstimator {
 
     /// Knee read off broker `b`'s own arm statistics, when enough arms
     /// have data: largest observed arm whose mean reward stays within
-    /// `plateau_tol` of the best observed mean. If that arm is the
+    /// `PLATEAU_TOL` of the best observed mean. If that arm is the
     /// highest one observed (no decline seen yet), probe one arm higher —
     /// optimism where the data has not yet reached.
     pub fn empirical_knee(&self, b: usize) -> Option<f64> {
@@ -217,7 +213,7 @@ impl ShrinkageEstimator {
             return None;
         }
         let best = observed.iter().map(|&(_, m)| m).fold(f64::NEG_INFINITY, f64::max);
-        let cutoff = best - self.plateau_tol * best.abs();
+        let cutoff = best - PLATEAU_TOL * best.abs();
         let knee_idx = observed
             .iter()
             .filter(|&&(_, m)| m >= cutoff)
@@ -253,12 +249,12 @@ impl ShrinkageEstimator {
         let knee = match self.empirical_knee(b) {
             Some(emp) => {
                 let n = self.stats[b].total();
-                let w = n / (n + self.pseudo_count);
+                let w = n / (n + PSEUDO_COUNT);
                 w * emp + (1.0 - w) * base
             }
             None => base,
         };
-        knee + self.knee_margin
+        knee + KNEE_MARGIN
     }
 
     /// Record a trial `(x, w, s)` for broker `b`: feeds both the shared
@@ -276,9 +272,7 @@ impl ShrinkageEstimator {
     }
 
     /// Serialise the learned state: the shared base bandit plus every
-    /// broker's per-arm statistics. The tuning knobs (`plateau_tol`,
-    /// `pseudo_count`, …) are configuration, not learned state, and are
-    /// not persisted.
+    /// broker's per-arm statistics.
     pub fn write_state(&self, out: &mut String) {
         state::push_kv(out, "shrinkage-brokers", self.stats.len());
         self.base.write_state(out);
@@ -315,15 +309,7 @@ impl ShrinkageEstimator {
             state::require_finite(&count, &format!("broker {b} arm counts"))?;
             stats.push(ArmStats { sum, count });
         }
-        Ok(ShrinkageEstimator {
-            base,
-            stats,
-            arms,
-            plateau_tol: 0.1,
-            pseudo_count: 3.0,
-            warmup_trials: 128,
-            knee_margin: 5.0,
-        })
+        Ok(ShrinkageEstimator { base, stats, arms })
     }
 }
 

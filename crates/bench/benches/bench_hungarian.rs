@@ -9,9 +9,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use matching::auction::auction_assignment;
-use matching::cbs::candidate_union;
+use matching::cbs::candidate_union_seeded_with;
 use matching::hungarian::{max_weight_assignment, max_weight_assignment_padded};
 use matching::UtilityMatrix;
+use pool::SEQ_CUTOFF_WORK;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -38,9 +39,8 @@ fn bench_solvers(c: &mut Criterion) {
             b.iter(|| black_box(max_weight_assignment(u).total))
         });
         group.bench_with_input(BenchmarkId::new("cbs_rectangular_km", brokers), &u, |b, u| {
-            let mut rng = StdRng::seed_from_u64(13);
             b.iter(|| {
-                let cols = candidate_union(u, u.rows(), &mut rng);
+                let cols = candidate_union_seeded_with(u, u.rows(), 13, 1, SEQ_CUTOFF_WORK);
                 let reduced = u.select_columns(&cols);
                 black_box(max_weight_assignment(&reduced).total)
             })

@@ -22,6 +22,16 @@ fn work(x: u64, iters: u64) -> u64 {
     acc
 }
 
+/// One `map_chunks` round over `items` at `cutoff`, scratch kept warm.
+fn round(n_threads: usize, cutoff: u64, items: &[u64], iters: u64, chunks: &mut Vec<Vec<u64>>) {
+    let used =
+        pool::map_chunks(n_threads, cutoff, items.len(), iters, chunks, Vec::new, |out, r| {
+            out.clear();
+            out.extend(items[r].iter().map(|&x| work(x, iters)));
+        });
+    black_box(used);
+}
+
 fn bench_pool_dispatch(c: &mut Criterion) {
     let mut group = c.benchmark_group("pool_round_dispatch");
     group.warm_up_time(Duration::from_millis(300));
@@ -29,43 +39,22 @@ fn bench_pool_dispatch(c: &mut Criterion) {
 
     // Tiny and meaty rounds: the cutoff should make the tiny one run
     // inline (no wake), while the meaty one amortizes its dispatch.
+    // The work estimate is ~1 unit per busywork iteration.
     for (label, len, iters) in [("tiny", 64usize, 20u64), ("meaty", 4_096, 400)] {
         let items: Vec<u64> = (0..len as u64).collect();
-        let wpi = iters; // ~1 work unit per busywork iteration
         for n_threads in [1usize, 4] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("adaptive_{label}"), n_threads),
-                &items,
-                |b, items| {
-                    b.iter(|| {
-                        black_box(pool::map_chunked_adaptive(
-                            n_threads,
-                            items,
-                            wpi,
-                            || (),
-                            |_, _, &x| work(x, iters),
-                        ))
-                    })
-                },
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("always_split_{label}"), n_threads),
-                &items,
-                |b, items| {
-                    // Cutoff 0 forces the queued path even for tiny
-                    // rounds — the regression shape this PR removes.
-                    b.iter(|| {
-                        black_box(pool::map_chunked_adaptive_with(
-                            0,
-                            n_threads,
-                            items,
-                            wpi,
-                            || (),
-                            |_, _, &x| work(x, iters),
-                        ))
-                    })
-                },
-            );
+            // Cutoff 0 forces the queued path even for tiny rounds —
+            // the regression shape the adaptive cutoff removes.
+            for (shape, cutoff) in [("adaptive", pool::SEQ_CUTOFF_WORK), ("always_split", 0)] {
+                group.bench_with_input(
+                    BenchmarkId::new(format!("{shape}_{label}"), n_threads),
+                    &items,
+                    |b, items| {
+                        let mut chunks = Vec::new();
+                        b.iter(|| round(n_threads, cutoff, items, iters, &mut chunks))
+                    },
+                );
+            }
         }
     }
     group.finish();

@@ -15,7 +15,6 @@ use platform_sim::{
     io as ds_io, CityId, Dataset, FaultConfig, FaultPlan, RealWorldConfig, SyntheticConfig,
 };
 use std::path::Path;
-use std::time::Duration;
 
 /// Typed CLI failure. `Usage` (exit 1) means the invocation itself was
 /// wrong — bad flags, unknown names, unreadable inputs — and the usage
@@ -60,8 +59,8 @@ pub const USAGE: &str = "usage:
                   broker-dropout+lost-feedback|utility-corruption|
                   batch-spike|full-chaos
                 [--algo …as in run] [--fault-seed N] [--raw]
-                [--deadline-ms MS] [--checkpoint-day D]
-                [--checkpoint-out FILE] [synthetic flags]
+                [--checkpoint-day D] [--checkpoint-out FILE]
+                [synthetic flags]
   caam crash-test [--points N] [--crash-seed N] [--scenario …as in chaos]
                 [--fault-seed N] [--dir DIR] [--keep-artifacts]
                 [synthetic flags]
@@ -261,18 +260,13 @@ fn cmd_chaos(args: &Args) -> Result<(), CliError> {
     let mut baseline = make_algo(algo_name, ds.brokers.len(), ctopk, seed)?;
     let fault_free = run(&ds, baseline.as_mut(), &RunConfig::default());
 
-    let mut rcfg = ResilienceConfig::default();
-    if let Some(ms) = args.get("deadline-ms") {
-        let ms: u64 = ms.parse().map_err(|_| format!("invalid --deadline-ms {ms:?}"))?;
-        rcfg.batch_deadline = Some(Duration::from_millis(ms));
-    }
     let escaped = |text: String| CliError::from(Fail::Panic(text));
     let m = if args.has("raw") {
         let mut a = make_algo(algo_name, ds.brokers.len(), ctopk, seed)?;
         run_chaos(&ds, a.as_mut(), &RunConfig::default(), plan)
     } else {
         let primary = make_algo(algo_name, ds.brokers.len(), ctopk, seed)?;
-        let mut r = ResilientAssigner::new(primary, rcfg.clone());
+        let mut r = ResilientAssigner::new(primary, ResilienceConfig::default());
         caught(|| run_chaos(&ds, &mut r, &RunConfig::default(), plan)).map_err(escaped)?
     };
 
@@ -288,11 +282,8 @@ fn cmd_chaos(args: &Args) -> Result<(), CliError> {
     if let Some(stats) = &m.resilience {
         println!("degradation events : {}", stats.degradation_events());
         println!(
-            "  panics {}  timeouts {}  invalid outputs {}  greedy fallbacks {}",
-            stats.primary_panics,
-            stats.primary_timeouts,
-            stats.invalid_primary_outputs,
-            stats.greedy_fallbacks
+            "  panics {}  invalid outputs {}  greedy fallbacks {}",
+            stats.primary_panics, stats.invalid_primary_outputs, stats.greedy_fallbacks
         );
         println!(
             "  top-k patches {}  utilities sanitized {}  requests failed {}",
@@ -333,8 +324,6 @@ fn cmd_chaos(args: &Args) -> Result<(), CliError> {
                 )))
             }
         };
-        // A deadline would make the two runs diverge on wall-clock
-        // noise, so the checkpoint verification always runs without one.
         let vcfg = ResilienceConfig::default();
         let mut direct = ResilientAssigner::new(Lacb::new(cfg.clone()), vcfg.clone());
         let uninterrupted =

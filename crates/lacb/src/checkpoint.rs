@@ -348,8 +348,6 @@ fn write_platform(out: &mut String, platform: &Platform) {
     state::push_kv(out, "brokers", platform.num_brokers());
     for s in platform.states() {
         state::push_floats(out, "broker", &[s.workload_today, s.realized_today, s.fatigue]);
-        state::push_floats(out, "recent-workloads", &s.recent_workloads);
-        state::push_floats(out, "recent-signups", &s.recent_signup_rates);
     }
 }
 
@@ -373,22 +371,10 @@ fn read_platform<'a, I: Iterator<Item = &'a str>>(
             state::parse_floats(state::expect_key(lines, "broker")?, &format!("broker {b} state"))?;
         state::require_len(&head, 3, &format!("broker {b} state"))?;
         state::require_finite(&head, &format!("broker {b} state"))?;
-        let recent_workloads = state::parse_floats(
-            state::expect_key(lines, "recent-workloads")?,
-            &format!("broker {b} workloads"),
-        )?;
-        let recent_signup_rates = state::parse_floats(
-            state::expect_key(lines, "recent-signups")?,
-            &format!("broker {b} signups"),
-        )?;
-        state::require_finite(&recent_workloads, &format!("broker {b} workloads"))?;
-        state::require_finite(&recent_signup_rates, &format!("broker {b} signups"))?;
         states.push(BrokerState {
             workload_today: head[0],
             realized_today: head[1],
             fatigue: head[2],
-            recent_workloads,
-            recent_signup_rates,
         });
     }
     Ok((states, day_index, appeal_draws))
@@ -431,9 +417,8 @@ fn read_ledger<'a, I: Iterator<Item = &'a str>>(
     BrokerLedger::from_snapshot(snap).map_err(CheckpointError::Invalid)
 }
 
-const STAT_KEYS: [&str; 10] = [
+const STAT_KEYS: [&str; 9] = [
     "primary-panics",
-    "primary-timeouts",
     "invalid-primary-outputs",
     "greedy-fallbacks",
     "topk-patches",
@@ -444,10 +429,9 @@ const STAT_KEYS: [&str; 10] = [
     "requests-failed-stat",
 ];
 
-fn stat_fields(stats: &mut ResilienceStats) -> [&mut u64; 10] {
+fn stat_fields(stats: &mut ResilienceStats) -> [&mut u64; 9] {
     [
         &mut stats.primary_panics,
-        &mut stats.primary_timeouts,
         &mut stats.invalid_primary_outputs,
         &mut stats.greedy_fallbacks,
         &mut stats.topk_patches,
@@ -1001,6 +985,42 @@ mod tests {
         // No stale tmp file left behind by the rename path.
         assert!(!path.with_file_name("atomic.ckpt.tmp").exists());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn checkpoints_with_broker_history_or_timeouts_fail_to_restore() {
+        // Before the format dropped them, every broker line was followed
+        // by its trailing-week `recent-workloads` and `recent-signups`,
+        // and the degradation stats carried `primary-timeouts`. Such a
+        // file must fail with a typed error, not restore silently.
+        let ds = dataset(71);
+        let plan = chaos_plan(43);
+        let cfg = LacbConfig::default();
+        let ckpt = run_chaos_until(&ds, cfg.clone(), ResilienceConfig::default(), plan, 0).unwrap();
+        let with_history: String = ckpt
+            .as_text()
+            .lines()
+            .map(|l| match l.starts_with("broker ") {
+                true => format!("{l}\nrecent-workloads 3e0\nrecent-signups\n"),
+                false => format!("{l}\n"),
+            })
+            .collect();
+        let with_timeouts = ckpt.as_text().replacen(
+            "primary-panics 0\n",
+            "primary-panics 0\nprimary-timeouts 0\n",
+            1,
+        );
+        assert_ne!(with_timeouts, ckpt.as_text(), "the stats section names primary-panics");
+        let spiked = ds.with_batch_spikes(&plan);
+        for (old, key) in [(with_history, "recent-workloads"), (with_timeouts, "primary-timeouts")]
+        {
+            let mut p = Platform::from_dataset(&spiked);
+            match Checkpoint::from_text(&old).unwrap().restore(cfg.clone(), &mut p) {
+                Err(CheckpointError::Invalid(e)) => assert!(e.contains(key), "{key}: {e}"),
+                Err(e) => panic!("{key}: expected Invalid, got {e}"),
+                Ok(_) => panic!("{key}: an old-format checkpoint restored"),
+            }
+        }
     }
 
     #[test]

@@ -107,7 +107,7 @@ fn ladder<A: Ladder + ?Sized>(assigner: &mut A) -> &mut ResilientAssigner<Lacb> 
 
 /// Ladder degradations the solver breaker counts as failures.
 fn ladder_degradations(s: &ResilienceStats) -> u64 {
-    s.primary_panics + s.primary_timeouts + s.invalid_primary_outputs
+    s.primary_panics + s.invalid_primary_outputs
 }
 
 /// Feedback-channel failures the bandit breaker counts.

@@ -4,6 +4,7 @@
 use crate::assigner::Assigner;
 use crate::audit::{self, AuditConfig, Auditor};
 use crate::value_function::ValueFunction;
+use bandit::shrinkage::KNEE_MARGIN;
 use bandit::{CandidateCapacities, NnUcbConfig, PersonalizedEstimator, ShrinkageEstimator};
 use linalg::InverseTracker;
 use matching::cbs::{candidate_union_seeded_with, fused_score_select, FusedBuffers};
@@ -24,9 +25,18 @@ use std::time::Instant;
 /// the scored values never depend on it.
 pub const SCORE_WORK_PER_BROKER: u64 = 500;
 
+/// TD learning rate `β` of Eq. (14) (the paper's value, Sec. VII-A).
+const BETA: f64 = 0.25;
+
+/// Discount factor `γ` of Eqs. (14)–(15) (the paper's value, Sec. VII-A).
+const GAMMA: f64 = 0.9;
+
+/// Value-table size (largest representable residual capacity).
+const MAX_CAPACITY_STATE: usize = 80;
+
 /// Configuration of [`Lacb`], defaulting to the paper's hyper-parameters
-/// (Sec. VII-A): `β = 0.25`, `γ = 0.9`, `δ = 0.8`, NN-enhanced UCB with
-/// `α = λ = 0.001` and `batchSize = 16`.
+/// (Sec. VII-A): `δ = 0.8`, NN-enhanced UCB with `α = λ = 0.001` and
+/// `batchSize = 16`; `β = 0.25` and `γ = 0.9` are constants.
 #[derive(Clone, Debug)]
 pub struct LacbConfig {
     /// Candidate workload capacities (the bandit's arms).
@@ -36,10 +46,6 @@ pub struct LacbConfig {
     /// `true` enables Candidate Broker Selection (Alg. 3) — this is
     /// **LACB-Opt**; `false` is plain LACB with the dummy-padded KM.
     pub use_cbs: bool,
-    /// TD learning rate `β` of Eq. (14).
-    pub beta: f64,
-    /// Discount factor `γ` of Eqs. (14)–(15).
-    pub gamma: f64,
     /// Threshold `δ` on the capacity-reaching frequency `f_b`: the value
     /// function refines utilities only for brokers with `f_b > δ`.
     pub delta: f64,
@@ -59,14 +65,8 @@ pub struct LacbConfig {
     /// day-1 assignment locks in; production logs (the paper's data
     /// source) carry natural variation instead. `0.0` disables.
     pub dither: f64,
-    /// Value-table size (largest representable residual capacity).
-    pub max_capacity_state: usize,
     /// Which personalisation mechanism backs the per-broker estimates.
     pub personalization: Personalization,
-    /// Margin added above the detected capacity knee (tabular mode).
-    pub knee_margin: f64,
-    /// Plateau tolerance used by the knee readers (tabular mode).
-    pub plateau_tol: f64,
     /// RNG seed (bandit init, CBS pivots).
     pub seed: u64,
     /// Worker threads for per-broker capacity estimation and CBS
@@ -177,16 +177,11 @@ impl Default for LacbConfig {
             arms: CandidateCapacities::range(10.0, 60.0, 10.0),
             bandit: tuned_bandit_config(),
             use_cbs: false,
-            beta: 0.25,
-            gamma: 0.9,
             delta: 0.8,
             personalize_after: 3,
             capacity_smoothing: 0.8,
             dither: 0.3,
             personalization: Personalization::Tabular,
-            knee_margin: 5.0,
-            plateau_tol: 0.1,
-            max_capacity_state: 80,
             seed: 1013,
             n_threads: 1,
             parallel_cutoff: pool::SEQ_CUTOFF_WORK,
@@ -254,7 +249,7 @@ pub struct Lacb {
 impl Lacb {
     /// Create LACB (or LACB-Opt when `cfg.use_cbs`).
     pub fn new(cfg: LacbConfig) -> Self {
-        let value_fn = ValueFunction::new(cfg.max_capacity_state, cfg.beta, cfg.gamma);
+        let value_fn = ValueFunction::new(MAX_CAPACITY_STATE, BETA, GAMMA);
         let rng = StdRng::seed_from_u64(cfg.seed);
         let auditor = Auditor::new(cfg.audit.clone());
         Self {
@@ -453,15 +448,12 @@ impl Lacb {
         let estimator = match (estimator_kind.as_str(), cfg.personalization) {
             ("none", _) => None,
             ("tabular", Personalization::Tabular) => {
-                let mut e = ShrinkageEstimator::read_state(
+                Some(EstimatorImpl::Tabular(ShrinkageEstimator::read_state(
                     lines,
                     num_brokers,
                     cfg.arms.clone(),
                     cfg.bandit.clone(),
-                )?;
-                e.knee_margin = cfg.knee_margin;
-                e.plateau_tol = cfg.plateau_tol;
-                Some(EstimatorImpl::Tabular(e))
+                )?))
             }
             ("layer", Personalization::LayerTransfer) => {
                 Some(EstimatorImpl::Layer(PersonalizedEstimator::read_state(
@@ -477,7 +469,7 @@ impl Lacb {
                 ))
             }
         };
-        let mut value_fn = ValueFunction::new(cfg.max_capacity_state, cfg.beta, cfg.gamma);
+        let mut value_fn = ValueFunction::new(MAX_CAPACITY_STATE, BETA, GAMMA);
         value_fn.restore(vf_table, vf_updates)?;
         let mut auditor = Auditor::new(cfg.audit.clone());
         auditor.set_max_reward(max_reward[0]);
@@ -510,18 +502,13 @@ impl Lacb {
         }
         let n = platform.num_brokers();
         self.estimator = Some(match self.cfg.personalization {
-            Personalization::Tabular => {
-                let mut est = ShrinkageEstimator::new(
-                    &mut self.rng,
-                    n,
-                    STATUS_DIM,
-                    self.cfg.arms.clone(),
-                    self.cfg.bandit.clone(),
-                );
-                est.knee_margin = self.cfg.knee_margin;
-                est.plateau_tol = self.cfg.plateau_tol;
-                EstimatorImpl::Tabular(est)
-            }
+            Personalization::Tabular => EstimatorImpl::Tabular(ShrinkageEstimator::new(
+                &mut self.rng,
+                n,
+                STATUS_DIM,
+                self.cfg.arms.clone(),
+                self.cfg.bandit.clone(),
+            )),
             Personalization::LayerTransfer => EstimatorImpl::Layer(PersonalizedEstimator::new(
                 &mut self.rng,
                 n,
@@ -568,7 +555,7 @@ impl Lacb {
         let vals = self.cfg.arms.values();
         let lo = vals.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        (lo, hi + self.cfg.knee_margin)
+        (lo, hi + KNEE_MARGIN)
     }
 
     /// Broker-scoped capacity-range certificate; violators are
@@ -597,7 +584,7 @@ impl Lacb {
     /// the table to the cold-start prior (it relearns from feedback)
     /// and escalates the next batch to the greedy floor.
     fn check_value_table(&mut self, day: usize, batch: usize) {
-        let bound = audit::value_bound(self.auditor.max_reward(), self.cfg.gamma);
+        let bound = audit::value_bound(self.auditor.max_reward(), GAMMA);
         if let Some((i, v)) = audit::table_violation(self.value_fn.table(), bound, audit::TOL) {
             self.auditor.record_violation(
                 InvariantKind::ValueBound,
@@ -1035,24 +1022,31 @@ impl Assigner for Lacb {
         self.match_mode = MatchMode::Full;
         let n = platform.num_brokers();
         // Per-broker capacity estimation. The tabular estimator is
-        // `&self`-pure, so brokers are scored in parallel with one
-        // scratch per worker — a pure per-broker function mapped in
-        // order, so the result is identical for every thread count.
+        // `&self`-pure, so brokers are scored in chunks with one scratch
+        // per chunk — a pure per-broker function, merged in chunk order,
+        // so the result is identical for every thread count.
         // Layer transfer mutates per-broker bandits and stays
         // sequential.
         let t_score = Instant::now();
         let raws: Vec<f64> = match self.estimator.as_mut().expect("initialized above") {
             EstimatorImpl::Tabular(e) => {
                 let e: &bandit::ShrinkageEstimator = e;
-                let brokers: Vec<usize> = (0..n).collect();
-                pool::map_chunked_adaptive_with(
-                    self.cfg.parallel_cutoff,
+                let mut chunks = Vec::new();
+                let used = pool::map_chunks(
                     self.cfg.n_threads,
-                    &brokers,
+                    self.cfg.parallel_cutoff,
+                    n,
                     SCORE_WORK_PER_BROKER,
-                    || e.scratch(),
-                    |s, _i, &b| e.estimate_with(b, platform.day_start_status(b), s),
-                )
+                    &mut chunks,
+                    || (e.scratch(), Vec::new()),
+                    |(s, raws), brokers| {
+                        raws.clear();
+                        raws.extend(
+                            brokers.map(|b| e.estimate_with(b, platform.day_start_status(b), s)),
+                        );
+                    },
+                );
+                used.iter().flat_map(|(_, raws)| raws.iter().copied()).collect()
             }
             EstimatorImpl::Layer(e) => {
                 (0..n).map(|b| e.choose(b, platform.day_start_status(b))).collect()

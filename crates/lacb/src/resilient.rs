@@ -3,11 +3,11 @@
 //!
 //! [`ResilientAssigner`] wraps any [`Assigner`] and guarantees that every
 //! batch yields a full, executable assignment even when the primary
-//! algorithm panics, blows its time budget, or returns garbage (a routed
-//! offline broker, a duplicate, a wrong-length vector). The ladder is
+//! algorithm panics or returns garbage (a routed offline broker, a
+//! duplicate, a wrong-length vector). The ladder is
 //!
-//! 1. **Primary** (e.g. LACB-Opt) — run under `catch_unwind` with a
-//!    per-batch deadline; its output is validated before use.
+//! 1. **Primary** (e.g. LACB-Opt) — run under `catch_unwind`; its output
+//!    is validated before use.
 //! 2. **Greedy matching** — on the sanitised, online-brokers-only
 //!    utility matrix. Half-optimal in the worst case but panic-free and
 //!    `O(nm log nm)`.
@@ -37,7 +37,6 @@ use platform_sim::{
     StateFault,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
 
 /// Retries of a lost end-of-day feedback delivery before the day is
 /// declared lost. Retries do not sleep: the fault schedule decides each
@@ -47,13 +46,13 @@ const MAX_FEEDBACK_RETRIES: usize = 4;
 /// How many top-utility brokers the patcher weighs by load.
 const PATCH_TOP_K: usize = 5;
 
-/// Knobs of the degradation ladder.
+/// Knobs of the degradation ladder: none are left. Every ladder
+/// decision is a deterministic function of the batch (a panic or an
+/// invalid output), so replays never diverge on wall-clock noise; the
+/// deterministic "too slow" path is admission's solver breaker. The
+/// type stays as a parameter of the serving entry points.
 #[derive(Clone, Debug, Default)]
-pub struct ResilienceConfig {
-    /// Per-batch time budget for the primary algorithm; exceeding it
-    /// falls back to greedy. `None` disables the deadline.
-    pub batch_deadline: Option<Duration>,
-}
+pub struct ResilienceConfig {}
 
 /// A fault-tolerant wrapper around any assignment policy. See the
 /// module docs for the ladder. Generic over the primary so callers that
@@ -61,7 +60,6 @@ pub struct ResilienceConfig {
 /// it; dynamic users can wrap a `Box<dyn Assigner>`.
 pub struct ResilientAssigner<A: Assigner> {
     primary: A,
-    cfg: ResilienceConfig,
     stats: ResilienceStats,
     /// Feedback marked delayed by the fault schedule, queued for the
     /// next day's delivery.
@@ -80,10 +78,9 @@ pub struct ResilientAssigner<A: Assigner> {
 }
 
 impl<A: Assigner> ResilientAssigner<A> {
-    pub fn new(primary: A, cfg: ResilienceConfig) -> Self {
+    pub fn new(primary: A, _cfg: ResilienceConfig) -> Self {
         Self {
             primary,
-            cfg,
             stats: ResilienceStats::default(),
             pending_feedback: None,
             day: 0,
@@ -248,7 +245,6 @@ impl<A: Assigner> Assigner for ResilientAssigner<A> {
 
     fn assign_batch(&mut self, platform: &Platform, requests: &[Request]) -> Vec<Option<usize>> {
         let online = platform.online_brokers();
-        let t0 = Instant::now();
         let primary =
             catch_unwind(AssertUnwindSafe(|| self.primary.assign_batch(platform, requests)));
         let validated = match primary {
@@ -256,16 +252,10 @@ impl<A: Assigner> Assigner for ResilientAssigner<A> {
                 self.stats.primary_panics += 1;
                 None
             }
-            Ok(a) => {
-                if self.cfg.batch_deadline.is_some_and(|d| t0.elapsed() > d) {
-                    self.stats.primary_timeouts += 1;
-                    None
-                } else if Self::validate(&a, requests.len(), platform) {
-                    Some(a)
-                } else {
-                    self.stats.invalid_primary_outputs += 1;
-                    None
-                }
+            Ok(a) if Self::validate(&a, requests.len(), platform) => Some(a),
+            Ok(_) => {
+                self.stats.invalid_primary_outputs += 1;
+                None
             }
         };
         let mut assignment = match validated {
@@ -443,21 +433,6 @@ mod tests {
             "a 35%-loss/20%-delay channel over 3 days should register events: {stats:?}"
         );
         assert!(stats.degradation_events() > 0);
-    }
-
-    #[test]
-    fn deadline_zero_forces_greedy_every_batch() {
-        let ds = dataset(99);
-        let cfg = ResilienceConfig { batch_deadline: Some(Duration::ZERO) };
-        let mut r = ResilientAssigner::new(Lacb::new(LacbConfig::default()), cfg);
-        let plan = FaultPlan::new(FaultConfig::scenario("none", 1).unwrap());
-        let m = run_chaos(&ds, &mut r, &RunConfig::default(), plan);
-        let stats = m.resilience.as_ref().unwrap();
-        let batches: usize = ds.days.iter().map(|d| d.len()).sum();
-        assert_eq!(stats.primary_timeouts, batches as u64);
-        assert_eq!(stats.greedy_fallbacks, batches as u64);
-        let served: f64 = m.ledger.per_broker_served().iter().sum();
-        assert_eq!(served as usize, ds.total_requests());
     }
 
     #[test]

@@ -19,15 +19,19 @@
 //!   partition, loop instead of recursion), so the hot path performs no
 //!   allocation and is immune to pathological partition depth.
 //!
-//! For the parallel serving core, [`candidate_union_seeded`] derives an
-//! independent RNG per request row from `(seed, row)`, which makes the
-//! selected union a pure function of the inputs — bit-identical for any
-//! thread count.
+//! For the parallel serving core, [`candidate_union_seeded_with`]
+//! derives an independent RNG per request row from `(seed, row)`, which
+//! makes the selected union a pure function of the inputs —
+//! bit-identical for any thread count. It and the fused kernel
+//! ([`fused_score_select`]) each keep one row loop, which `pool`'s
+//! chunked map runs inline or across the worker pool.
 
 use crate::graph::UtilityMatrix;
 use crate::sparse::SparseUtility;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::Ordering;
+use std::ops::Range;
 
 /// Total-order `>` used by the selection partition: NaN sorts below
 /// every other value (including `-∞`), and NaN == NaN. On NaN-free data
@@ -145,44 +149,12 @@ pub fn top_k_into<R: Rng + ?Sized>(
     debug_assert_eq!(out.len(), k);
 }
 
-/// The CBS candidate set for a whole batch: the union
-/// `⋃_{r ∈ R} Top^r_k` of per-request top-k broker indices, sorted and
-/// deduplicated. With `k = |R|` (Corollary 1) the union provably contains
-/// an optimal assignment of the full graph.
-pub fn candidate_union<R: Rng + ?Sized>(u: &UtilityMatrix, k: usize, rng: &mut R) -> Vec<usize> {
-    let mut seen = vec![false; u.cols()];
-    let mut idx = Vec::new();
-    let mut out = Vec::new();
-    for r in 0..u.rows() {
-        top_k_into(u.row(r), k, rng, &mut idx, &mut out);
-        for &b in &out {
-            seen[b] = true;
-        }
-    }
-    (0..u.cols()).filter(|&b| seen[b]).collect()
-}
-
 /// SplitMix64 — derives statistically independent per-row seeds.
 fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e3779b97f4a7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
     z ^ (z >> 31)
-}
-
-/// Deterministic parallel CBS union: like [`candidate_union`] but each
-/// request row `r` uses its own RNG seeded from `mix(seed ^ r)`, so the
-/// result is a pure function of `(u, k, seed)` — **bit-identical for
-/// every `n_threads`**, including 1. Rows are processed in contiguous
-/// chunks; per-chunk `seen` masks are OR-merged (set union commutes, so
-/// merge order cannot matter either).
-pub fn candidate_union_seeded(
-    u: &UtilityMatrix,
-    k: usize,
-    seed: u64,
-    n_threads: usize,
-) -> Vec<usize> {
-    candidate_union_seeded_with(u, k, seed, n_threads, pool::SEQ_CUTOFF_WORK)
 }
 
 /// Estimated work units (≈ ns) to quickselect one request row: a few
@@ -192,11 +164,27 @@ pub fn row_select_work(cols: usize) -> u64 {
     4 * cols as u64 + 300
 }
 
-/// [`candidate_union_seeded`] with an explicit sequential-cutoff
-/// override (see `pool::adaptive_parallelism_with`). The cutoff only
-/// moves the inline-vs-parallel decision — the returned candidate set is
-/// bit-identical for every `(n_threads, cutoff)` because per-row seeds
-/// depend on `r` alone and mask union is commutative.
+/// Per-chunk scratch of [`candidate_union_seeded_with`]: the selection
+/// buffers and the chunk's selected-column mask.
+#[derive(Default)]
+struct UnionChunk {
+    idx: Vec<usize>,
+    sel: Vec<usize>,
+    seen: Vec<bool>,
+}
+
+/// The CBS candidate set for a whole batch: the union
+/// `⋃_{r ∈ R} Top^r_k` of per-request top-k broker indices, sorted and
+/// deduplicated. With `k = |R|` (Corollary 1) the union provably
+/// contains an optimal assignment of the full graph.
+///
+/// Each request row `r` quickselects with its own RNG seeded from
+/// `mix(seed ^ r)`, so the result is a pure function of `(u, k, seed)`.
+/// Rows run in contiguous chunks through `pool::map_chunks`, whose
+/// `cutoff` (see `pool::adaptive_parallelism_with`) only moves the
+/// inline-vs-parallel decision; per-chunk masks are OR-merged, and set
+/// union commutes, so the candidate set is bit-identical for every
+/// `(n_threads, cutoff)`.
 pub fn candidate_union_seeded_with(
     u: &UtilityMatrix,
     k: usize,
@@ -204,45 +192,35 @@ pub fn candidate_union_seeded_with(
     n_threads: usize,
     cutoff: u64,
 ) -> Vec<usize> {
-    let parts =
-        pool::adaptive_parallelism_with(cutoff, n_threads, u.rows(), row_select_work(u.cols()));
-    if parts <= 1 {
-        if n_threads > 1 && u.rows() > 1 {
-            pool::record_inline_round();
-        }
-        let mut seen = vec![false; u.cols()];
-        let mut idx = Vec::new();
-        let mut out = Vec::new();
-        for r in 0..u.rows() {
+    let select_rows = |ch: &mut UnionChunk, rows: Range<usize>| {
+        ch.seen.clear();
+        ch.seen.resize(u.cols(), false);
+        for r in rows {
             let mut rng = StdRng::seed_from_u64(mix(seed ^ (r as u64)));
-            top_k_into(u.row(r), k, &mut rng, &mut idx, &mut out);
-            for &b in &out {
-                seen[b] = true;
+            top_k_into(u.row(r), k, &mut rng, &mut ch.idx, &mut ch.sel);
+            for &b in &ch.sel {
+                ch.seen[b] = true;
             }
         }
-        return (0..u.cols()).filter(|&b| seen[b]).collect();
-    }
-    let chunks: Vec<(usize, usize)> = pool::partition(u.rows(), parts).collect();
-    let masks: Vec<Vec<bool>> = pool::map(parts, &chunks, |_ci, &(lo, hi)| {
-        let mut seen = vec![false; u.cols()];
-        let mut idx = Vec::new();
-        let mut out = Vec::new();
-        for r in lo..hi {
-            let mut rng = StdRng::seed_from_u64(mix(seed ^ (r as u64)));
-            top_k_into(u.row(r), k, &mut rng, &mut idx, &mut out);
-            for &b in &out {
-                seen[b] = true;
-            }
-        }
-        seen
-    });
-    let mut seen = vec![false; u.cols()];
-    for m in &masks {
-        for (s, &v) in seen.iter_mut().zip(m) {
+    };
+    let mut chunks = Vec::new();
+    let work = row_select_work(u.cols());
+    let used = pool::map_chunks(
+        n_threads,
+        cutoff,
+        u.rows(),
+        work,
+        &mut chunks,
+        UnionChunk::default,
+        select_rows,
+    );
+    let (first, rest) = used.split_first_mut().expect("map_chunks uses at least one chunk");
+    for ch in rest.iter() {
+        for (s, &v) in first.seen.iter_mut().zip(&ch.seen) {
             *s |= v;
         }
     }
-    (0..u.cols()).filter(|&b| seen[b]).collect()
+    (0..u.cols()).filter(|&b| first.seen[b]).collect()
 }
 
 /// One candidate inside the bounded selection queue: utility, seeded
@@ -254,20 +232,18 @@ struct SelEntry {
     c: usize,
 }
 
-/// `a` strictly worse than `b` under the fused kernel's selection
-/// order: utility first (via the [`total_lt`]/[`total_gt`] total order,
-/// NaN lowest), then ascending seeded key, then ascending column id.
-/// The order has no ties, so the top-k *set* it induces is unique.
+/// The fused kernel's selection order, best first: utility descending
+/// (via the [`total_lt`]/[`total_gt`] total order, NaN lowest), then
+/// ascending seeded key, then ascending column id. Distinct entries
+/// never tie, so the top-k *set* it induces is unique.
 #[inline]
-fn sel_worse(a: &SelEntry, b: &SelEntry) -> bool {
-    if total_lt(a.v, b.v) {
-        true
-    } else if total_gt(a.v, b.v) {
-        false
-    } else if a.key != b.key {
-        a.key > b.key
+fn sel_order(a: &SelEntry, b: &SelEntry) -> Ordering {
+    if total_gt(a.v, b.v) {
+        Ordering::Less
+    } else if total_lt(a.v, b.v) {
+        Ordering::Greater
     } else {
-        a.c > b.c
+        (a.key, a.c).cmp(&(b.key, b.c))
     }
 }
 
@@ -292,9 +268,9 @@ fn sel_bin(v: f64) -> u8 {
 /// utility histogram (one branch-free pass: multiply, saturating cast,
 /// counter increment), walk the bin counts downward to find the bin
 /// holding the k-th best value, emit every column in a strictly higher
-/// bin, and rank only the boundary bin's members (typically a handful)
-/// under the exact composite order. Writes the selected column ids into
-/// `out` (unsorted).
+/// bin, and select among the boundary bin's members (typically a
+/// handful) under the exact composite order. Writes the selected column
+/// ids into `out` (unsorted).
 ///
 /// Selection order is utility-first (via the [`total_gt`] total order,
 /// NaN lowest) with seeded tie-breaking like [`top_k_into`]'s RNG:
@@ -353,41 +329,45 @@ fn top_k_bounded_into(
     debug_assert_eq!(out.len(), above);
     let need = k - above;
     if boundary.len() > need {
-        // Exact composite ranking, boundary bin only: best first. The
-        // order is strict (keys and ids break all ties), so the
-        // selected set is unique.
-        boundary.sort_unstable_by(|a, b| {
-            if sel_worse(a, b) {
-                std::cmp::Ordering::Greater
-            } else {
-                std::cmp::Ordering::Less
-            }
-        });
+        // Exact composite selection, boundary bin only: the `need` best
+        // first, in no particular order. The order is strict (keys and
+        // ids break all ties), so the selected set is unique. Linear
+        // time, not a sort: once the value-function refinement pushes
+        // most of a row below zero, nearly the whole row shares bin 0.
+        boundary.select_nth_unstable_by(need - 1, sel_order);
         boundary.truncate(need);
     }
     out.extend(boundary.iter().map(|e| e.c));
 }
 
 /// Reusable buffers of [`fused_score_select`]: its two outputs, plus
-/// one score-row buffer, the bounded selection queue, and the per-batch
-/// selection / union accumulators. All buffers keep their capacity
-/// across batches, so the inline (single-thread) path allocates nothing
-/// in steady state.
+/// one scratch per row chunk (score row, selection buffers and the
+/// chunk's selected rows) and the union accumulators. All buffers keep
+/// their capacity across batches, so the inline (single-thread) path
+/// allocates nothing in steady state.
 #[derive(Debug, Default)]
 pub struct FusedBuffers {
     /// The CSR candidate graph, columns compacted to `union`.
     pub csr: SparseUtility,
     /// The sorted candidate union (global column ids).
     pub union: Vec<usize>,
+    chunks: Vec<FusedChunk>,
+    seen: Vec<bool>,
+    remap: Vec<usize>,
+}
+
+/// Per-chunk scratch of [`fused_score_select`]: one score row, the
+/// bounded selection queue, and the chunk's selected rows in row order
+/// (each row's length, global column ids and utilities).
+#[derive(Debug, Default)]
+struct FusedChunk {
     row: Vec<f64>,
     bins: Vec<u8>,
     boundary: Vec<SelEntry>,
     sel: Vec<usize>,
-    seen: Vec<bool>,
-    remap: Vec<usize>,
+    row_len: Vec<usize>,
     sel_cols: Vec<usize>,
     sel_utils: Vec<f64>,
-    row_len: Vec<usize>,
 }
 
 /// Estimated work units (≈ ns) to score **and** select one request
@@ -427,32 +407,13 @@ pub fn fused_score_select<F>(
 ) where
     F: Fn(usize, &mut [f64]) + Sync,
 {
-    let FusedBuffers {
-        csr,
-        union: union_out,
-        row,
-        bins,
-        boundary,
-        sel,
-        seen,
-        remap,
-        sel_cols,
-        sel_utils,
-        row_len,
-    } = out;
-    seen.clear();
-    seen.resize(cols, false);
-    sel_cols.clear();
-    sel_utils.clear();
-    row_len.clear();
-
-    let parts = pool::adaptive_parallelism_with(cutoff, n_threads, rows, fused_row_work(cols));
-    if parts <= 1 {
-        if n_threads > 1 && rows > 1 {
-            pool::record_inline_round();
-        }
+    let select_rows = |ch: &mut FusedChunk, range: Range<usize>| {
+        let FusedChunk { row, bins, boundary, sel, row_len, sel_cols, sel_utils } = ch;
         row.resize(cols, 0.0);
-        for r in 0..rows {
+        row_len.clear();
+        sel_cols.clear();
+        sel_utils.clear();
+        for r in range {
             score(r, row);
             top_k_bounded_into(row, k, mix(seed ^ (r as u64)), bins, boundary, sel);
             sel.sort_unstable();
@@ -460,53 +421,23 @@ pub fn fused_score_select<F>(
             for &c in sel.iter() {
                 sel_cols.push(c);
                 sel_utils.push(row[c]);
-                seen[c] = true;
             }
         }
-    } else {
-        let chunks: Vec<(usize, usize)> = pool::partition(rows, parts).collect();
-        type Chunk = (Vec<usize>, Vec<usize>, Vec<f64>, Vec<bool>);
-        let picked: Vec<Chunk> = pool::map(parts, &chunks, |_ci, &(lo, hi)| {
-            let mut row = vec![0.0; cols];
-            let mut bins = Vec::new();
-            let mut boundary = Vec::new();
-            let mut sel = Vec::new();
-            let mut c_seen = vec![false; cols];
-            let mut c_lens = Vec::with_capacity(hi - lo);
-            let mut c_cols = Vec::new();
-            let mut c_utils = Vec::new();
-            for r in lo..hi {
-                score(r, &mut row);
-                top_k_bounded_into(
-                    &row,
-                    k,
-                    mix(seed ^ (r as u64)),
-                    &mut bins,
-                    &mut boundary,
-                    &mut sel,
-                );
-                sel.sort_unstable();
-                c_lens.push(sel.len());
-                for &c in &sel {
-                    c_cols.push(c);
-                    c_utils.push(row[c]);
-                    c_seen[c] = true;
-                }
-            }
-            (c_lens, c_cols, c_utils, c_seen)
-        });
-        // Chunks are contiguous ascending row ranges, so concatenation
-        // preserves row order; the seen-mask union commutes.
-        for (c_lens, c_cols, c_utils, c_seen) in &picked {
-            row_len.extend_from_slice(c_lens);
-            sel_cols.extend_from_slice(c_cols);
-            sel_utils.extend_from_slice(c_utils);
-            for (s, &v) in seen.iter_mut().zip(c_seen) {
-                *s |= v;
-            }
+    };
+    let FusedBuffers { csr, union: union_out, chunks, seen, remap } = out;
+    let work = fused_row_work(cols);
+    let used =
+        pool::map_chunks(n_threads, cutoff, rows, work, chunks, FusedChunk::default, select_rows);
+
+    // Chunks are contiguous ascending row ranges, so walking them in
+    // order keeps row order; the union is a set.
+    seen.clear();
+    seen.resize(cols, false);
+    for ch in used.iter() {
+        for &c in &ch.sel_cols {
+            seen[c] = true;
         }
     }
-
     union_out.clear();
     union_out.extend((0..cols).filter(|&b| seen[b]));
     // Global column id -> union-local id; stale entries at non-union
@@ -516,17 +447,15 @@ pub fn fused_score_select<F>(
         remap[global] = local;
     }
     csr.begin(union_out.len());
-    let mut off = 0usize;
-    for &len in row_len.iter() {
-        // Per-row columns are ascending in global space and the remap is
-        // monotone, so union-local ids stay ascending.
-        csr.push_row(
-            sel_cols[off..off + len]
-                .iter()
-                .zip(&sel_utils[off..off + len])
-                .map(|(&c, &v)| (remap[c], v)),
-        );
-        off += len;
+    for ch in used.iter() {
+        let mut off = 0usize;
+        for &len in &ch.row_len {
+            // Per-row columns are ascending in global space and the remap
+            // is monotone, so union-local ids stay ascending.
+            let (cols, utils) = (&ch.sel_cols[off..off + len], &ch.sel_utils[off..off + len]);
+            csr.push_row(cols.iter().zip(utils).map(|(&c, &v)| (remap[c], v)));
+            off += len;
+        }
     }
 }
 
@@ -534,6 +463,7 @@ pub fn fused_score_select<F>(
 mod tests {
     use super::*;
     use crate::hungarian::max_weight_assignment;
+    use pool::SEQ_CUTOFF_WORK as SEQ;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -648,7 +578,7 @@ mod tests {
         for _ in 0..10 {
             let u = UtilityMatrix::from_fn(4, 30, |_, _| next());
             let full = max_weight_assignment(&u);
-            let cols = candidate_union(&u, u.rows(), &mut rng);
+            let cols = candidate_union_seeded_with(&u, u.rows(), rng.gen(), 1, SEQ);
             let reduced = u.select_columns(&cols);
             let red = max_weight_assignment(&reduced);
             assert!(
@@ -662,9 +592,8 @@ mod tests {
 
     #[test]
     fn candidate_union_is_sorted_and_bounded() {
-        let mut rng = StdRng::seed_from_u64(8);
         let u = UtilityMatrix::from_fn(3, 20, |r, c| ((r * 31 + c * 17) % 13) as f64);
-        let cols = candidate_union(&u, 3, &mut rng);
+        let cols = candidate_union_seeded_with(&u, 3, 8, 1, SEQ);
         assert!(cols.windows(2).all(|w| w[0] < w[1]));
         assert!(cols.len() <= 9);
         assert!(!cols.is_empty());
@@ -710,17 +639,21 @@ mod tests {
     #[test]
     fn seeded_union_is_thread_count_invariant() {
         let u = UtilityMatrix::from_fn(17, 60, |r, c| (((r * 31 + c * 17) % 97) as f64) * 0.01);
-        let base = candidate_union_seeded(&u, 6, 1013, 1);
+        let base = candidate_union_seeded_with(&u, 6, 1013, 1, SEQ);
         assert!(base.windows(2).all(|w| w[0] < w[1]));
         for threads in [2usize, 4, 8] {
-            assert_eq!(candidate_union_seeded(&u, 6, 1013, threads), base, "threads={threads}");
+            // Cutoff 0 forces the parallel path even at this size.
+            for cutoff in [0, SEQ, u64::MAX] {
+                let got = candidate_union_seeded_with(&u, 6, 1013, threads, cutoff);
+                assert_eq!(got, base, "threads={threads} cutoff={cutoff}");
+            }
         }
         // Different seed may legitimately pick different pivots, but the
         // union must still preserve the optimal value (Corollary 1 uses
         // k = rows).
         let full = max_weight_assignment(&u);
         for seed in [0u64, 9, 77] {
-            let cols = candidate_union_seeded(&u, u.rows(), seed, 4);
+            let cols = candidate_union_seeded_with(&u, u.rows(), seed, 4, 0);
             let red = max_weight_assignment(&u.select_columns(&cols));
             assert!((full.total - red.total).abs() < 1e-9, "seed={seed}");
         }
@@ -737,23 +670,30 @@ mod tests {
 
     #[test]
     fn fused_kernel_matches_unfused_selection_exactly() {
-        let u = UtilityMatrix::from_fn(13, 40, |r, c| (((r * 29 + c * 13) % 83) as f64) * 0.02);
-        let (k, seed) = (5usize, 4711u64);
-        let FusedBuffers { csr, union, .. } = fuse(&u, k, seed, 1, pool::SEQ_CUTOFF_WORK);
-        // Union identical to the unfused two-pass path.
-        assert_eq!(union, candidate_union_seeded(&u, k, seed, 1));
-        assert_eq!(csr.rows(), u.rows());
-        assert_eq!(csr.cols(), union.len());
-        // Per-row candidate sets identical to top_k_into with the same
-        // per-row RNG, and utilities carried through bit-for-bit.
-        for r in 0..u.rows() {
-            let mut rng = StdRng::seed_from_u64(mix(seed ^ (r as u64)));
-            let mut expect = top_k_indices(u.row(r), k, &mut rng);
-            expect.sort_unstable();
-            let got: Vec<usize> = csr.row_cols(r).iter().map(|&c| union[c]).collect();
-            assert_eq!(got, expect, "row {r}");
-            for (local, v) in csr.row_entries(r) {
-                assert_eq!(v.to_bits(), u.get(r, union[local]).to_bits(), "row {r}");
+        // Unshifted, many values exceed 1 and share bin 255; shifted
+        // down, most of each row shares bin 0, as refined rows do.
+        for shift in [0.0, -1.5] {
+            let u = UtilityMatrix::from_fn(13, 40, |r, c| {
+                (((r * 29 + c * 13) % 83) as f64) * 0.02 + shift
+            });
+            let (k, seed) = (5usize, 4711u64);
+            let FusedBuffers { csr, union, .. } = fuse(&u, k, seed, 1, SEQ);
+            // Union identical to the unfused two-pass path.
+            assert_eq!(union, candidate_union_seeded_with(&u, k, seed, 1, SEQ));
+            assert_eq!(csr.rows(), u.rows());
+            assert_eq!(csr.cols(), union.len());
+            // Per-row candidate sets identical to top_k_into with the
+            // same per-row RNG, and utilities carried through
+            // bit-for-bit.
+            for r in 0..u.rows() {
+                let mut rng = StdRng::seed_from_u64(mix(seed ^ (r as u64)));
+                let mut expect = top_k_indices(u.row(r), k, &mut rng);
+                expect.sort_unstable();
+                let got: Vec<usize> = csr.row_cols(r).iter().map(|&c| union[c]).collect();
+                assert_eq!(got, expect, "shift {shift} row {r}");
+                for (local, v) in csr.row_entries(r) {
+                    assert_eq!(v.to_bits(), u.get(r, union[local]).to_bits(), "row {r}");
+                }
             }
         }
     }
@@ -761,7 +701,7 @@ mod tests {
     #[test]
     fn fused_kernel_is_thread_count_invariant() {
         let u = UtilityMatrix::from_fn(23, 64, |r, c| (((r * 31 + c * 17) % 97) as f64) * 0.01);
-        let base = fuse(&u, 7, 1013, 1, pool::SEQ_CUTOFF_WORK);
+        let base = fuse(&u, 7, 1013, 1, SEQ);
         for threads in [2usize, 4, 8] {
             // Cutoff 0 forces the parallel path even at small sizes.
             let out = fuse(&u, 7, 1013, threads, 0);
@@ -776,23 +716,23 @@ mod tests {
         let mut out = FusedBuffers::default();
         let score = |r: usize, buf: &mut [f64]| buf.copy_from_slice(u.row(r));
         let pass = |out: &mut FusedBuffers| {
-            fused_score_select((u.rows(), u.cols()), 4, 9, 1, pool::SEQ_CUTOFF_WORK, &score, out)
+            fused_score_select((u.rows(), u.cols()), 4, 9, 1, SEQ, &score, out)
         };
         pass(&mut out);
         pass(&mut out);
-        let caps = (out.row.capacity(), out.sel_cols.capacity(), out.union.capacity());
+        let caps = |out: &FusedBuffers| {
+            let ch = &out.chunks[0];
+            (ch.row.capacity(), ch.sel_cols.capacity(), out.union.capacity())
+        };
+        let warm = caps(&out);
         pass(&mut out);
-        assert_eq!(
-            (out.row.capacity(), out.sel_cols.capacity(), out.union.capacity()),
-            caps,
-            "warm fused pass must not reallocate"
-        );
+        assert_eq!(caps(&out), warm, "warm fused pass must not reallocate");
     }
 
     #[test]
     fn fused_kernel_handles_empty_batches() {
         let u = UtilityMatrix::zeros(0, 12);
-        let out = fuse(&u, 3, 1, 1, pool::SEQ_CUTOFF_WORK);
+        let out = fuse(&u, 3, 1, 1, SEQ);
         assert_eq!(out.csr.rows(), 0);
         assert!(out.union.is_empty());
     }
@@ -808,8 +748,8 @@ mod tests {
         // every thread count.
         let u = UtilityMatrix::from_fn(11, 36, |_, c| ((c % 3) as f64) * 0.5);
         let (k, seed) = (7usize, 99u64);
-        let FusedBuffers { csr, union, .. } = fuse(&u, k, seed, 1, pool::SEQ_CUTOFF_WORK);
-        let again = fuse(&u, k, seed, 1, pool::SEQ_CUTOFF_WORK);
+        let FusedBuffers { csr, union, .. } = fuse(&u, k, seed, 1, SEQ);
+        let again = fuse(&u, k, seed, 1, SEQ);
         assert_eq!(union, again.union);
         assert_eq!(csr.nnz(), again.csr.nnz());
         for threads in [2usize, 4] {

@@ -30,8 +30,7 @@ pub mod sparse;
 pub use auction::auction_assignment;
 pub use brownout::MatchMode;
 pub use cbs::{
-    candidate_union, candidate_union_seeded, fused_score_select, top_k_indices, top_k_into,
-    FusedBuffers,
+    candidate_union_seeded_with, fused_score_select, top_k_indices, top_k_into, FusedBuffers,
 };
 pub use graph::{AssignmentResult, UtilityMatrix};
 pub use hungarian::{

@@ -25,11 +25,9 @@ pub mod init;
 pub mod layer;
 pub mod loss;
 pub mod mlp;
-pub mod optimizer;
 pub mod serialize;
 
 pub use activation::Activation;
 pub use boosted::{Gbrt, GbrtConfig, Stump};
 pub use layer::Dense;
 pub use mlp::{Mlp, MlpBuilder, MlpScratch};
-pub use optimizer::{Adam, Optimizer, Sgd};

@@ -133,7 +133,7 @@ impl BrokerProfile {
 }
 
 /// Mutable day-to-day broker state.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct BrokerState {
     /// Requests served so far today (`w_b` while the day is running).
     pub workload_today: f64,
@@ -143,25 +143,7 @@ pub struct BrokerState {
     /// otherwise. Lowers the effective capacity — the "exhausted in the
     /// sales seasons" effect of Sec. V-A.
     pub fatigue: f64,
-    /// Daily workloads over the trailing week.
-    pub recent_workloads: Vec<f64>,
-    /// Daily sign-up rates over the trailing week.
-    pub recent_signup_rates: Vec<f64>,
 }
-
-impl Default for BrokerState {
-    fn default() -> Self {
-        Self {
-            workload_today: 0.0,
-            realized_today: 0.0,
-            fatigue: 0.0,
-            recent_workloads: Vec::new(),
-            recent_signup_rates: Vec::new(),
-        }
-    }
-}
-
-const RECENT_WINDOW: usize = 7;
 
 impl BrokerState {
     /// Effective capacity for today: latent capacity scaled down by
@@ -170,22 +152,12 @@ impl BrokerState {
         profile.true_capacity * (1.0 - 0.35 * self.fatigue)
     }
 
-    /// Close out a day: roll histories, update fatigue, zero counters.
+    /// Close out a day: update fatigue, zero counters.
     /// Returns `(w_b, s_b)` — the day's workload and realised sign-up
     /// rate (`None` when the broker served nothing).
     pub fn end_day(&mut self, profile: &BrokerProfile) -> (f64, Option<f64>) {
         let w = self.workload_today;
         let s = if w > 0.0 { Some(self.realized_today / w) } else { None };
-        self.recent_workloads.push(w);
-        if self.recent_workloads.len() > RECENT_WINDOW {
-            self.recent_workloads.remove(0);
-        }
-        if let Some(rate) = s {
-            self.recent_signup_rates.push(rate);
-            if self.recent_signup_rates.len() > RECENT_WINDOW {
-                self.recent_signup_rates.remove(0);
-            }
-        }
         // Fatigue dynamics: overload adds, rest subtracts.
         let cap = self.effective_capacity(profile).max(1.0);
         if w > cap {
@@ -196,24 +168,6 @@ impl BrokerState {
         self.workload_today = 0.0;
         self.realized_today = 0.0;
         (w, s)
-    }
-
-    /// Mean of the trailing-week workloads (0 if no history).
-    pub fn recent_mean_workload(&self) -> f64 {
-        if self.recent_workloads.is_empty() {
-            0.0
-        } else {
-            self.recent_workloads.iter().sum::<f64>() / self.recent_workloads.len() as f64
-        }
-    }
-
-    /// Mean of the trailing-week sign-up rates (0 if no history).
-    pub fn recent_mean_signup(&self) -> f64 {
-        if self.recent_signup_rates.is_empty() {
-            0.0
-        } else {
-            self.recent_signup_rates.iter().sum::<f64>() / self.recent_signup_rates.len() as f64
-        }
     }
 }
 
@@ -338,18 +292,5 @@ mod tests {
                 assert!((-0.01..=1.5).contains(v), "feature {i} = {v}");
             }
         }
-    }
-
-    #[test]
-    fn history_window_bounded() {
-        let pop = population(1);
-        let mut s = BrokerState::default();
-        for d in 0..20 {
-            s.workload_today = d as f64;
-            s.realized_today = 0.1 * d as f64;
-            s.end_day(&pop[0]);
-        }
-        assert_eq!(s.recent_workloads.len(), 7);
-        assert!(s.recent_signup_rates.len() <= 7);
     }
 }

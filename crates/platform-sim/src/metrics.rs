@@ -712,8 +712,6 @@ impl AuditReport {
 pub struct ResilienceStats {
     /// Batches where the primary assigner panicked.
     pub primary_panics: u64,
-    /// Batches where the primary assigner exceeded its time budget.
-    pub primary_timeouts: u64,
     /// Batches where the primary returned an invalid assignment
     /// (length/range/matching violation or an offline broker).
     pub invalid_primary_outputs: u64,
@@ -739,7 +737,6 @@ impl ResilienceStats {
     /// chaos report surfaces).
     pub fn degradation_events(&self) -> u64 {
         self.primary_panics
-            + self.primary_timeouts
             + self.invalid_primary_outputs
             + self.greedy_fallbacks
             + self.topk_patches

@@ -2,27 +2,29 @@
 //! *deterministic* work partitioning.
 //!
 //! The serving core parallelises three hot paths — per-broker capacity
-//! estimation, per-request CBS pruning, and independent Kuhn–Munkres
-//! solves — under one hard constraint: **parallel output must be
+//! scoring, the dense CBS candidate union, and the fused score+select
+//! kernel — under one hard constraint: **parallel output must be
 //! bit-identical to sequential output**, so the checkpoint/chaos replay
 //! machinery keeps producing the same trajectories regardless of
-//! `n_threads`. Three design rules make that hold:
+//! `n_threads`. All three go through one entry point, [`map_chunks`],
+//! and three design rules make that hold:
 //!
-//! 1. *Fixed partitioning.* Work is split into contiguous index chunks
-//!    by [`partition`], a pure function of `(len, parts)`. Which thread
-//!    executes a chunk is irrelevant because every item's result depends
-//!    only on its index, never on execution order.
-//! 2. *Ordered reduction.* [`map`]/[`map_chunked`] write chunk results
-//!    into per-chunk slots and flatten by chunk index, so the output
-//!    `Vec` is identical to the sequential loop's output.
+//! 1. *Fixed partitioning.* Work is split into contiguous index chunks,
+//!    chunk `k` of `parts` covering `len·k/parts .. len·(k+1)/parts` — a
+//!    pure function of `(len, parts)`. Which thread executes a chunk is
+//!    irrelevant because every item's result depends only on its index,
+//!    never on execution order.
+//! 2. *Ordered reduction.* Each chunk writes into its own scratch, and
+//!    [`map_chunks`] hands the scratches back in chunk order, so the
+//!    caller's merge sees results in the sequential loop's order.
 //! 3. *Size-derived scheduling.* The adaptive cutoff
-//!    ([`adaptive_parallelism`]) decides inline-vs-parallel from input
-//!    sizes and static work estimates only — never from wall-clock — so
-//!    two runs of the same inputs always take the same path.
+//!    ([`adaptive_parallelism_with`]) decides inline-vs-parallel from
+//!    input sizes and static work estimates only — never from wall-clock
+//!    — so two runs of the same inputs always take the same path.
 //!
 //! Anything that needs randomness derives a per-item RNG from
 //! `(seed, index)` rather than sharing a sequential stream; see
-//! `matching::cbs::candidate_union_seeded`.
+//! `matching::cbs::candidate_union_seeded_with`.
 //!
 //! ## Runtime, not scoped threads
 //!
@@ -45,12 +47,13 @@
 //!   the cutoff), decoupled from the physical worker count — chunking is
 //!   semantic (determinism contract), workers are an execution detail.
 //!
-//! With `n_threads <= 1` every entry point degenerates to an inline loop
-//! with zero thread, lock, or allocation overhead, which is also the
-//! default configuration everywhere.
+//! With `n_threads <= 1` every call is one inline chunk on the caller,
+//! with no thread, lock, or allocation overhead once its scratch is
+//! warm, which is also the default configuration everywhere.
 
 use std::any::Any;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -157,13 +160,6 @@ pub fn stats() -> PoolStats {
     }
 }
 
-/// Telemetry hook for call sites that implement their own inline
-/// fallback path: counts one round kept sequential by the adaptive
-/// cutoff despite `n_threads > 1`.
-pub fn record_inline_round() {
-    INLINE_ROUNDS.fetch_add(1, Ordering::Relaxed);
-}
-
 /// The machine's available parallelism (1 when detection fails).
 pub fn hardware_threads() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
@@ -174,11 +170,10 @@ pub fn hardware_threads() -> usize {
 
 /// A persistent worker pool: long-lived threads parked between rounds.
 ///
-/// Most code should use the free functions ([`map`], [`map_chunked`],
-/// [`map_chunked_adaptive`], [`scope`]), which share one lazily created
-/// process-global pool. Owned pools exist for lifecycle tests and for
-/// callers that want explicit worker counts; dropping an owned pool
-/// joins its workers cleanly.
+/// Serving code uses [`map_chunks`], which shares one lazily created
+/// process-global pool. Owned pools, driven through [`map_chunks_on`],
+/// exist for lifecycle tests and for callers that want explicit worker
+/// counts; dropping an owned pool joins its workers cleanly.
 pub struct WorkerPool {
     shared: Arc<Shared>,
     handles: Mutex<Vec<JoinHandle<()>>>,
@@ -328,8 +323,8 @@ impl<'p> ActiveRound<'p> {
     /// Everything `job` borrows must stay live (and unaliased per Rust's
     /// usual rules) until the round completes. The guard enforces
     /// completion before control returns past it, so calling this from
-    /// the safe wrappers in this module — which keep the borrowed data
-    /// alive across `finish()` — is sound.
+    /// [`map_chunks_on`] — which keeps the borrowed data alive across
+    /// `finish()` — is sound.
     unsafe fn spawn<'env>(&self, job: impl FnOnce() + Send + 'env) {
         let job: Box<dyn FnOnce() + Send + 'env> = Box::new(job);
         let job: Job = std::mem::transmute(job);
@@ -391,10 +386,10 @@ impl<'p> Drop for ActiveRound<'p> {
 
 static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
 
-/// The process-global pool behind the free functions. Created with zero
+/// The process-global pool behind [`map_chunks`]. Created with zero
 /// workers; grows lazily (up to `hardware_threads() − 1`) as parallel
 /// rounds request parts.
-pub fn global() -> &'static WorkerPool {
+fn global() -> &'static WorkerPool {
     GLOBAL.get_or_init(|| WorkerPool::new(0))
 }
 
@@ -408,21 +403,10 @@ fn ensure_global_workers(parts: usize) -> &'static WorkerPool {
 }
 
 // ---------------------------------------------------------------------------
-// Deterministic partitioning and the adaptive sequential cutoff.
-
-/// Deterministic contiguous partition of `0..len` into `parts` chunks.
-///
-/// Chunk `k` is `[len*k/parts, len*(k+1)/parts)`; chunk sizes differ by
-/// at most one and the concatenation covers `0..len` exactly, in order.
-/// Pure function of its arguments — the cornerstone of the determinism
-/// contract.
-pub fn partition(len: usize, parts: usize) -> impl Iterator<Item = (usize, usize)> {
-    let parts = parts.max(1);
-    (0..parts).map(move |k| (len * k / parts, len * (k + 1) / parts))
-}
+// The adaptive sequential cutoff.
 
 /// Default sequential cutoff: the minimum estimated work **per chunk**
-/// (in [`adaptive_parallelism`]'s work units, calibrated to roughly
+/// (in [`adaptive_parallelism_with`]'s work units, calibrated to roughly
 /// nanoseconds of straight-line compute) below which dispatching to the
 /// pool is not worth one wake/park cycle.
 ///
@@ -433,21 +417,17 @@ pub fn partition(len: usize, parts: usize) -> impl Iterator<Item = (usize, usize
 /// per whole batch) where thread-per-call parallelism used to *regress*.
 pub const SEQ_CUTOFF_WORK: u64 = 100_000;
 
-/// Number of chunks to actually use for `len` items of
-/// `work_per_item` estimated work units on a requested `n_threads`,
-/// under the default cutoff. Pure function of its arguments — never
-/// consults the clock or the machine — so the schedule (and therefore
-/// the exact floating-point reduction order *within* each chunk's
-/// scratch reuse) is reproducible across runs and hosts.
-pub fn adaptive_parallelism(n_threads: usize, len: usize, work_per_item: u64) -> usize {
-    adaptive_parallelism_with(SEQ_CUTOFF_WORK, n_threads, len, work_per_item)
-}
-
-/// [`adaptive_parallelism`] with an explicit cutoff. `cutoff == 0`
-/// disables the sequential fallback (always split to `n_threads`);
-/// `cutoff == u64::MAX` forces inline execution for any realistic work
-/// estimate. Exposed so serving configs and boundary tests can move the
-/// threshold without recompiling.
+/// Number of chunks to use for `len` items of `work_per_item` estimated
+/// work units on a requested `n_threads`: the requested split, shrunk
+/// (down to one inline chunk) while a chunk would hold less than
+/// `cutoff` units of work. `cutoff == 0` disables the sequential
+/// fallback (always split to `n_threads`); `cutoff == u64::MAX` forces
+/// inline execution for any realistic work estimate.
+///
+/// Pure function of its arguments — never consults the clock or the
+/// machine — so the schedule (and therefore the exact floating-point
+/// reduction order *within* each chunk's scratch reuse) is reproducible
+/// across runs and hosts.
 pub fn adaptive_parallelism_with(
     cutoff: u64,
     n_threads: usize,
@@ -467,216 +447,89 @@ pub fn adaptive_parallelism_with(
 }
 
 // ---------------------------------------------------------------------------
-// Scoped job submission (compatibility surface).
+// The chunked map.
 
-/// Handle passed to the closure given to [`scope`]; lets it submit jobs
-/// that borrow from the enclosing environment.
+/// Run `f` over contiguous chunks of `0..len`, each with its own
+/// scratch, and return the used scratches in chunk order. The one
+/// adaptive entry point every parallel hot path goes through.
 ///
-/// Jobs go straight onto the persistent pool's injector queue (no
-/// threads are spawned). `Scope` is `!Sync` by construction: jobs are
-/// submitted from the coordinating thread only, which keeps submission
-/// order deterministic.
-pub struct Scope<'p, 'env> {
-    inner: Option<ActiveRound<'p>>,
-    parts: usize,
-    _env: std::marker::PhantomData<&'env mut &'env ()>,
-}
-
-impl<'p, 'env> Scope<'p, 'env> {
-    /// Number of execution lanes this scope was requested with (1 when
-    /// inline).
-    pub fn workers(&self) -> usize {
-        self.parts.max(1)
-    }
-
-    /// Submit a job. In inline mode (or on a pool with no workers where
-    /// nothing else could execute it earlier anyway) the job runs
-    /// immediately on the calling thread.
-    pub fn spawn(&self, job: impl FnOnce() + Send + 'env) {
-        match &self.inner {
-            None => job(),
-            Some(round) => {
-                if round.pool.workers() == 0 {
-                    // No worker could pick it up before the scope ends;
-                    // running it now preserves submission order exactly.
-                    job();
-                } else {
-                    // SAFETY: `job` borrows only `'env` data, which
-                    // outlives the `scope` call; the round guard
-                    // completes every job before `scope` returns, even
-                    // on unwind.
-                    unsafe { round.spawn(job) }
-                }
-            }
-        }
-    }
-}
-
-/// Run `f` with a scope that dispatches jobs onto the persistent pool.
+/// The chunk count is [`adaptive_parallelism_with`]`(cutoff, n_threads,
+/// len, work_per_item)`. One chunk runs inline on the calling thread
+/// and, when `n_threads > 1` asked for more, counts as an inline round;
+/// several run as one round on the global pool and count as a parallel
+/// round (see [`PoolStats`]).
 ///
-/// All jobs are completed before `scope` returns, so jobs may borrow any
-/// data that outlives the call — same contract as the old
-/// spawn-per-call implementation, minus the thread spawns.
-/// `n_threads <= 1` runs every job inline on the calling thread.
+/// `chunks` is scratch the caller keeps between calls: it grows (with
+/// `init`) to the chunk count and never shrinks, so a warm inline call
+/// allocates nothing. `f` receives a chunk's scratch as the previous
+/// call left it and must reset whatever per-call output it keeps there.
 ///
-/// # Panics
-/// Propagates the first job panic once every job has completed.
-pub fn scope<'env, R>(n_threads: usize, f: impl FnOnce(&Scope<'_, 'env>) -> R) -> R {
-    if n_threads <= 1 {
-        return f(&Scope { inner: None, parts: 1, _env: std::marker::PhantomData });
-    }
-    let pool = ensure_global_workers(n_threads);
-    let s =
-        Scope { inner: Some(pool.begin_round()), parts: n_threads, _env: std::marker::PhantomData };
-    let out = f(&s);
-    if let Some(round) = s.inner {
-        round.finish();
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Parallel maps.
-
-/// Parallel, order-preserving map: `items.iter().enumerate().map(f)`
-/// split over `n_threads` chunks.
-///
-/// Bit-identical to the sequential loop for any thread count, provided
-/// `f` is a pure function of `(index, item)`.
-pub fn map<T, R, F>(n_threads: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    map_chunked(n_threads, items, || (), move |_scratch, i, t| f(i, t))
-}
-
-/// Like [`map`] but with chunk-local scratch state: `init` builds one
-/// `S` per chunk and `f` receives it mutably for every item in that
-/// chunk. This is how the hot paths stay zero-alloc when parallel —
-/// each chunk reuses one scratch buffer across its whole extent.
-///
-/// Determinism contract: `f`'s *result* must depend only on
-/// `(index, item)`; the scratch may carry buffers but not values that
-/// leak between items.
-pub fn map_chunked<T, R, S, FS, F>(n_threads: usize, items: &[T], init: FS, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    FS: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-{
-    let parts = n_threads.min(items.len()).max(1);
-    map_chunked_on(
-        if parts > 1 { Some(ensure_global_workers(parts)) } else { None },
-        parts,
-        items,
-        init,
-        f,
-    )
-}
-
-/// [`map_chunked`] with the adaptive sequential cutoff: `work_per_item`
-/// estimates each item's cost in [`SEQ_CUTOFF_WORK`]'s units, and the
-/// chunk count shrinks (down to fully inline) whenever chunks would be
-/// too small to amortise a pool wake. The result is bit-identical for
-/// every `(n_threads, cutoff)` combination by the same contract as
-/// [`map_chunked`].
-pub fn map_chunked_adaptive<T, R, S, FS, F>(
+/// Determinism contract: what `f` leaves in a scratch must depend only
+/// on its range (and the caller's inputs), never on values an earlier
+/// call or item left behind, so merging the returned scratches in order
+/// is bit-identical for every `(n_threads, cutoff)`.
+pub fn map_chunks<S, F>(
     n_threads: usize,
-    items: &[T],
-    work_per_item: u64,
-    init: FS,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    FS: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-{
-    map_chunked_adaptive_with(SEQ_CUTOFF_WORK, n_threads, items, work_per_item, init, f)
-}
-
-/// [`map_chunked_adaptive`] with an explicit cutoff (see
-/// [`adaptive_parallelism_with`]).
-pub fn map_chunked_adaptive_with<T, R, S, FS, F>(
     cutoff: u64,
-    n_threads: usize,
-    items: &[T],
+    len: usize,
     work_per_item: u64,
-    init: FS,
+    chunks: &mut Vec<S>,
+    init: impl FnMut() -> S,
     f: F,
-) -> Vec<R>
+) -> &mut [S]
 where
-    T: Sync,
-    R: Send,
-    FS: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
+    S: Send,
+    F: Fn(&mut S, Range<usize>) + Sync,
 {
-    let parts = adaptive_parallelism_with(cutoff, n_threads, items.len(), work_per_item);
-    if parts <= 1 && n_threads > 1 && items.len() > 1 {
-        INLINE_ROUNDS.fetch_add(1, Ordering::Relaxed);
-    }
-    map_chunked_on(
-        if parts > 1 { Some(ensure_global_workers(parts)) } else { None },
-        parts,
-        items,
-        init,
-        f,
-    )
+    let parts = adaptive_parallelism_with(cutoff, n_threads, len, work_per_item);
+    let pool = if parts > 1 {
+        ensure_global_workers(parts)
+    } else {
+        if n_threads > 1 && len > 1 {
+            INLINE_ROUNDS.fetch_add(1, Ordering::Relaxed);
+        }
+        global()
+    };
+    map_chunks_on(pool, parts, len, chunks, init, f)
 }
 
-/// Core chunked map against an explicit pool (`None` = inline). Public
-/// so lifecycle tests and expert callers can drive an owned
-/// [`WorkerPool`]; everything else should use the global-pool wrappers.
-pub fn map_chunked_on<T, R, S, FS, F>(
-    pool: Option<&WorkerPool>,
+/// [`map_chunks`] with an explicit pool and chunk count (clamped to
+/// `1..=len`): one chunk runs inline on the caller, several as one round
+/// on `pool`. The seam for tests that drive an owned [`WorkerPool`];
+/// serving code goes through [`map_chunks`].
+pub fn map_chunks_on<'c, S, F>(
+    pool: &WorkerPool,
     parts: usize,
-    items: &[T],
-    init: FS,
+    len: usize,
+    chunks: &'c mut Vec<S>,
+    init: impl FnMut() -> S,
     f: F,
-) -> Vec<R>
+) -> &'c mut [S]
 where
-    T: Sync,
-    R: Send,
-    FS: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
+    S: Send,
+    F: Fn(&mut S, Range<usize>) + Sync,
 {
-    let parts = parts.min(items.len()).max(1);
-    let pool = match pool {
-        Some(p) if parts > 1 => p,
-        _ => {
-            let mut state = init();
-            return items.iter().enumerate().map(|(i, t)| f(&mut state, i, t)).collect();
-        }
-    };
-    let chunks: Vec<(usize, usize)> = partition(items.len(), parts).collect();
-    let mut slots: Vec<Option<Vec<R>>> = (0..parts).map(|_| None).collect();
+    let parts = parts.min(len).max(1);
+    if chunks.len() < parts {
+        chunks.resize_with(parts, init);
+    }
+    let used = &mut chunks[..parts];
+    if let [only] = used {
+        f(only, 0..len);
+        return used;
+    }
     let round = pool.begin_round();
-    for (slot, &(lo, hi)) in slots.iter_mut().zip(&chunks) {
+    for (k, chunk) in used.iter_mut().enumerate() {
         let f = &f;
-        let init = &init;
-        // SAFETY: the closure borrows `items`, `f`, `init` and one
-        // disjoint `slot`; all outlive `round.finish()` below, which
-        // completes every job before `slots` is read (the guard also
-        // completes them if `finish` unwinds).
-        unsafe {
-            round.spawn(move || {
-                let mut state = init();
-                *slot = Some(
-                    items[lo..hi]
-                        .iter()
-                        .enumerate()
-                        .map(|(off, t)| f(&mut state, lo + off, t))
-                        .collect(),
-                );
-            });
-        }
+        let range = len * k / parts..len * (k + 1) / parts;
+        // SAFETY: the job borrows `f` and one disjoint chunk; both
+        // outlive `round.finish()` below, which completes every job
+        // before the chunks are handed back (the guard also completes
+        // them if `finish` unwinds).
+        unsafe { round.spawn(move || f(chunk, range)) }
     }
     round.finish();
-    slots.into_iter().flat_map(|c| c.expect("pool: chunk missing")).collect()
+    used
 }
 
 #[cfg(test)]
@@ -684,155 +537,158 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// Each chunk's range, as `map_chunks_on` handed it out.
+    fn ranges(parts: usize, len: usize) -> Vec<Range<usize>> {
+        let mut chunks = Vec::new();
+        let pool = WorkerPool::new(0);
+        let used = map_chunks_on(&pool, parts, len, &mut chunks, || 0..0, |s, r| *s = r);
+        used.to_vec()
+    }
+
     #[test]
-    fn partition_covers_exactly() {
+    fn chunks_cover_the_range_in_order() {
         for len in [0usize, 1, 2, 7, 8, 100, 101] {
             for parts in [1usize, 2, 3, 4, 8, 13] {
-                let chunks: Vec<_> = partition(len, parts).collect();
-                assert_eq!(chunks.len(), parts);
+                let chunks = ranges(parts, len);
+                assert_eq!(chunks.len(), parts.min(len).max(1));
                 let mut next = 0;
-                for &(lo, hi) in &chunks {
-                    assert_eq!(lo, next, "gap in partition({len},{parts})");
-                    assert!(hi >= lo);
-                    next = hi;
+                for r in &chunks {
+                    assert_eq!(r.start, next, "gap in chunks({len},{parts})");
+                    assert!(r.end >= r.start);
+                    next = r.end;
                 }
-                assert_eq!(next, len, "partition({len},{parts}) must cover 0..len");
-                let max = chunks.iter().map(|&(l, h)| h - l).max().unwrap_or(0);
-                let min = chunks.iter().map(|&(l, h)| h - l).min().unwrap_or(0);
+                assert_eq!(next, len, "chunks({len},{parts}) must cover 0..len");
+                let max = chunks.iter().map(|r| r.len()).max().unwrap_or(0);
+                let min = chunks.iter().map(|r| r.len()).min().unwrap_or(0);
                 assert!(max - min <= 1, "chunks should be balanced");
             }
         }
     }
 
-    #[test]
-    fn scope_runs_all_jobs() {
-        for threads in [1usize, 2, 4] {
-            let counter = AtomicUsize::new(0);
-            scope(threads, |s| {
-                for _ in 0..37 {
-                    s.spawn(|| {
-                        counter.fetch_add(1, Ordering::SeqCst);
-                    });
-                }
-            });
-            assert_eq!(counter.load(Ordering::SeqCst), 37);
-        }
+    /// Per-chunk scratch of the map tests: a mutation counter (scratch
+    /// may carry state; results must not use it) and the chunk's output.
+    #[derive(Default)]
+    struct Scratch {
+        calls: u64,
+        out: Vec<u64>,
+    }
+
+    fn hash(i: usize, x: u64) -> u64 {
+        x.wrapping_mul(0x9e37_79b9).rotate_left(i as u32)
     }
 
     #[test]
-    fn map_matches_sequential_for_all_thread_counts() {
-        let items: Vec<u64> = (0..103).collect();
-        let f = |i: usize, &x: &u64| -> u64 { x.wrapping_mul(0x9e37_79b9).rotate_left(i as u32) };
-        let seq: Vec<u64> = items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
+    fn map_chunks_matches_sequential_for_all_threads_and_cutoffs() {
+        let items: Vec<u64> = (0..97).collect();
+        let seq: Vec<u64> = items.iter().enumerate().map(|(i, &x)| hash(i, x)).collect();
+        // One scratch across every call: reuse must never leak values.
+        let mut chunks = Vec::new();
+        let half = SEQ_CUTOFF_WORK / (items.len() as u64 / 2);
         for threads in [1usize, 2, 3, 4, 8, 16] {
-            assert_eq!(map(threads, &items, f), seq, "threads={threads}");
+            for cutoff in [0, 1, SEQ_CUTOFF_WORK, u64::MAX] {
+                for wpi in [1, half - 1, half, half + 1, SEQ_CUTOFF_WORK, u64::MAX / 128] {
+                    let used = map_chunks(
+                        threads,
+                        cutoff,
+                        items.len(),
+                        wpi,
+                        &mut chunks,
+                        Scratch::default,
+                        |s, r| {
+                            s.calls += 1;
+                            s.out.clear();
+                            s.out.extend(r.map(|i| hash(i, items[i])));
+                        },
+                    );
+                    let got: Vec<u64> = used.iter().flat_map(|s| s.out.iter().copied()).collect();
+                    assert_eq!(got, seq, "threads={threads} cutoff={cutoff} wpi={wpi}");
+                }
+            }
         }
     }
 
     #[test]
-    fn map_empty_and_singleton() {
-        let empty: Vec<i32> = vec![];
-        assert!(map(4, &empty, |_, &x| x).is_empty());
-        assert_eq!(map(4, &[42], |_, &x| x + 1), vec![43]);
+    fn map_chunks_handles_empty_and_singleton_inputs() {
+        let mut chunks: Vec<Scratch> = Vec::new();
+        for len in [0usize, 1] {
+            let used = map_chunks(4, 0, len, 1, &mut chunks, Scratch::default, |s, r| {
+                s.out.clear();
+                s.out.extend(r.map(|i| i as u64 + 42));
+            });
+            assert_eq!(used.len(), 1, "len {len} is one inline chunk");
+            assert_eq!(used[0].out, (0..len as u64).map(|i| i + 42).collect::<Vec<_>>());
+        }
     }
 
     #[test]
-    fn map_chunked_reuses_state_within_chunk() {
-        // The scratch buffer is reused but results depend only on the item,
-        // so output is identical across thread counts.
-        let items: Vec<usize> = (0..64).collect();
-        let run = |threads| {
-            map_chunked(threads, &items, Vec::<f64>::new, |buf, _i, &x| {
-                buf.clear();
-                buf.extend((0..8).map(|j| (x * 8 + j) as f64));
-                buf.iter().sum::<f64>()
-            })
+    fn scratch_grows_once_and_is_kept_between_calls() {
+        let inits = AtomicUsize::new(0);
+        let init = || {
+            inits.fetch_add(1, Ordering::SeqCst);
+            Scratch::default()
         };
-        let seq = run(1);
-        for threads in [2usize, 4, 8] {
-            assert_eq!(run(threads), seq);
+        let touch = |s: &mut Scratch, _r: Range<usize>| s.calls += 1;
+        let mut chunks = Vec::new();
+        for _ in 0..3 {
+            map_chunks(4, u64::MAX, 64, 1, &mut chunks, init, touch);
         }
-    }
-
-    #[test]
-    fn scope_inline_mode_runs_immediately() {
-        let mut hits = 0;
-        scope(1, |s| {
-            // In inline mode jobs run synchronously, so a non-Sync borrow
-            // pattern like this is observable right after spawn.
-            let hits_ref = &mut hits;
-            s.spawn(move || *hits_ref += 1);
-        });
-        assert_eq!(hits, 1);
+        assert_eq!(inits.load(Ordering::SeqCst), 1, "inline calls reuse one scratch");
+        assert_eq!(chunks[0].calls, 3);
+        let used = map_chunks(4, 0, 64, 1, &mut chunks, init, touch);
+        assert_eq!(used.len(), 4);
+        assert_eq!(inits.load(Ordering::SeqCst), 4, "a wider call adds only the missing chunks");
+        let used = map_chunks(4, u64::MAX, 64, 1, &mut chunks, init, touch);
+        assert_eq!(used.len(), 1, "a narrower call hands back only the chunks it used");
+        assert_eq!(chunks.len(), 4, "scratch never shrinks");
+        assert_eq!(chunks[0].calls, 5);
     }
 
     #[test]
     fn adaptive_parallelism_respects_cutoff_and_bounds() {
+        let adaptive = |n, len, wpi| adaptive_parallelism_with(SEQ_CUTOFF_WORK, n, len, wpi);
         // Below one cutoff of total work: inline.
-        assert_eq!(adaptive_parallelism(8, 100, 10), 1);
+        assert_eq!(adaptive(8, 100, 10), 1);
         // Plenty of work: full requested split (clamped by len).
-        assert_eq!(adaptive_parallelism(8, 100, SEQ_CUTOFF_WORK), 8);
-        assert_eq!(adaptive_parallelism(8, 3, SEQ_CUTOFF_WORK), 3);
+        assert_eq!(adaptive(8, 100, SEQ_CUTOFF_WORK), 8);
+        assert_eq!(adaptive(8, 3, SEQ_CUTOFF_WORK), 3);
         // Partial: enough for 2 chunks but not 8.
         let wpi = 2 * SEQ_CUTOFF_WORK / 100 + 1;
-        let parts = adaptive_parallelism(8, 100, wpi);
+        let parts = adaptive(8, 100, wpi);
         assert!((2..8).contains(&parts), "got {parts}");
         // Explicit overrides.
         assert_eq!(adaptive_parallelism_with(0, 8, 100, 1), 8, "cutoff 0 = always split");
         assert_eq!(
-            adaptive_parallelism_with(u64::MAX, 8, 100, u64::MAX / 64,),
+            adaptive_parallelism_with(u64::MAX, 8, 100, u64::MAX / 64),
             1,
             "huge cutoff = inline"
         );
         // n_threads=1 and empty input always inline.
-        assert_eq!(adaptive_parallelism(1, 1000, u64::MAX / 2048), 1);
-        assert_eq!(adaptive_parallelism(8, 0, u64::MAX / 8), 1);
-    }
-
-    #[test]
-    fn adaptive_map_is_bit_identical_across_the_cutoff_boundary() {
-        let items: Vec<u64> = (0..97).collect();
-        let f = |s: &mut u64, i: usize, &x: &u64| -> u64 {
-            *s = s.wrapping_add(1); // scratch may mutate; result must not use it
-            x.wrapping_mul(0x9e37_79b9).rotate_left(i as u32)
-        };
-        let seq: Vec<u64> = map_chunked_adaptive_with(u64::MAX, 1, &items, 1, || 0u64, f);
-        // Work estimates straddling the boundary: per-chunk work just
-        // below and just above the cutoff, plus the hard extremes.
-        let half = SEQ_CUTOFF_WORK / (items.len() as u64 / 2);
-        for wpi in [1, half - 1, half, half + 1, SEQ_CUTOFF_WORK, u64::MAX / 128] {
-            for threads in [1usize, 2, 4, 8] {
-                let got = map_chunked_adaptive(threads, &items, wpi, || 0u64, f);
-                assert_eq!(got, seq, "threads={threads} wpi={wpi}");
-            }
-        }
-        for cutoff in [0, 1, SEQ_CUTOFF_WORK, u64::MAX] {
-            let got = map_chunked_adaptive_with(cutoff, 8, &items, 1000, || 0u64, f);
-            assert_eq!(got, seq, "cutoff={cutoff}");
-        }
+        assert_eq!(adaptive(1, 1000, u64::MAX / 2048), 1);
+        assert_eq!(adaptive(8, 0, u64::MAX / 8), 1);
     }
 
     #[test]
     fn job_panic_propagates_after_round_completes() {
         // Use an owned pool with real workers so jobs take the queued
-        // path (with zero workers, inline execution short-circuits at
-        // the panic, which is also fine but not what this test probes).
+        // path (with zero workers, the coordinator drains the queue
+        // itself, which is also fine but not what this test probes).
         let pool = WorkerPool::new(2);
-        let items: Vec<usize> = (0..8).collect();
         let done = AtomicUsize::new(0);
+        let mut chunks = Vec::new();
         let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            map_chunked_on(
-                Some(&pool),
+            map_chunks_on(
+                &pool,
                 8,
-                &items,
+                8,
+                &mut chunks,
                 || (),
-                |_, _, &i| {
-                    if i == 3 {
+                |_, r| {
+                    if r.contains(&3) {
                         panic!("boom");
                     }
                     done.fetch_add(1, Ordering::SeqCst);
                 },
-            )
+            );
         }));
         assert!(r.is_err(), "job panic must propagate to the coordinator");
         assert_eq!(done.load(Ordering::SeqCst), 7, "all non-panicking jobs still ran");
@@ -843,12 +699,14 @@ mod tests {
         let pool = WorkerPool::new(3);
         assert_eq!(pool.workers(), 3);
         let items: Vec<u64> = (0..50).collect();
+        let want: Vec<u64> = items.iter().enumerate().map(|(i, &x)| x + i as u64).collect();
+        let mut chunks: Vec<Vec<u64>> = Vec::new();
         for _ in 0..10 {
-            let out = map_chunked_on(Some(&pool), 4, &items, || (), |_, i, &x| x + i as u64);
-            assert_eq!(
-                out,
-                items.iter().enumerate().map(|(i, &x)| x + i as u64).collect::<Vec<_>>()
-            );
+            let used = map_chunks_on(&pool, 4, items.len(), &mut chunks, Vec::new, |out, r| {
+                out.clear();
+                out.extend(r.map(|i| items[i] + i as u64));
+            });
+            assert_eq!(used.concat(), want);
         }
         drop(pool); // must not hang or leak
     }

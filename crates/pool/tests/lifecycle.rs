@@ -30,6 +30,16 @@ fn eventually(mut cond: impl FnMut() -> bool) -> bool {
     }
 }
 
+/// Map `items` through `x·31` on an owned pool, flattened in order.
+fn times_31_on(p: &pool::WorkerPool, parts: usize, items: &[u64]) -> Vec<u64> {
+    let mut chunks: Vec<Vec<u64>> = Vec::new();
+    let used = pool::map_chunks_on(p, parts, items.len(), &mut chunks, Vec::new, |out, r| {
+        out.clear();
+        out.extend(items[r].iter().map(|&x| x.wrapping_mul(31)));
+    });
+    used.concat()
+}
+
 #[test]
 fn owned_pool_spawns_once_parks_idle_and_joins_on_drop() {
     let _g = counter_guard();
@@ -43,8 +53,7 @@ fn owned_pool_spawns_once_parks_idle_and_joins_on_drop() {
 
     // Many batches: zero additional spawns after construction.
     for round in 0..200 {
-        let out = pool::map_chunked_on(Some(&p), 4, &items, || (), |_, _, &x| x.wrapping_mul(31));
-        assert_eq!(out, expect, "round {round}");
+        assert_eq!(times_31_on(&p, 4, &items), expect, "round {round}");
     }
     assert_eq!(
         pool::stats().spawned_threads - before.spawned_threads,
@@ -64,19 +73,27 @@ fn owned_pool_spawns_once_parks_idle_and_joins_on_drop() {
     );
 }
 
+/// One `map_chunks` call over 128 items, flattened in order.
+fn plus_index(n_threads: usize, cutoff: u64, chunks: &mut Vec<Vec<u64>>) -> Vec<u64> {
+    let used = pool::map_chunks(n_threads, cutoff, 128, 1, chunks, Vec::new, |out, r| {
+        out.clear();
+        out.extend(r.map(|i| 3 * i as u64));
+    });
+    used.concat()
+}
+
 #[test]
 fn global_pool_stops_spawning_after_warmup() {
     let _g = counter_guard();
     // Warm the global pool to its hard cap: worker count is bounded by
     // available_parallelism() - 1 regardless of the requested width, so
     // after one wide round no later request can grow it further.
-    let items: Vec<u64> = (0..128).collect();
-    let warm = pool::map_chunked(64, &items, || (), |_, i, &x| x + i as u64);
+    let mut chunks = Vec::new();
+    let warm = plus_index(64, 0, &mut chunks);
     let after_warmup = pool::stats().spawned_threads;
 
     for _ in 0..300 {
-        let out = pool::map_chunked(64, &items, || (), |_, i, &x| x + i as u64);
-        assert_eq!(out, warm);
+        assert_eq!(plus_index(64, 0, &mut chunks), warm);
     }
     assert_eq!(
         pool::stats().spawned_threads,
@@ -86,32 +103,35 @@ fn global_pool_stops_spawning_after_warmup() {
 }
 
 #[test]
-fn scope_reuses_pool_across_batches() {
-    use std::sync::atomic::{AtomicU64, Ordering};
+fn map_chunks_counts_each_round_once() {
     let _g = counter_guard();
-    let hits = AtomicU64::new(0);
-    // Warm up to the cap once, then measure.
-    pool::scope(64, |s| s.spawn(|| ()));
-    let after_warmup = pool::stats().spawned_threads;
-    for _ in 0..100 {
-        pool::scope(8, |s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
+    let mut chunks = Vec::new();
+    let want = plus_index(1, 0, &mut chunks);
+    let rounds = || {
+        let s = pool::stats();
+        (s.inline_rounds, s.parallel_rounds)
+    };
+    // (n_threads, cutoff) -> (inline, parallel) rounds the call adds.
+    for (n_threads, cutoff, added) in
+        [(2, u64::MAX, (1, 0)), (2, 0, (0, 1)), (1, u64::MAX, (0, 0)), (1, 0, (0, 0))]
+    {
+        let before = rounds();
+        assert_eq!(plus_index(n_threads, cutoff, &mut chunks), want);
+        let after = rounds();
+        assert_eq!(
+            (after.0 - before.0, after.1 - before.1),
+            added,
+            "n_threads={n_threads} cutoff={cutoff}: (inline, parallel) rounds added"
+        );
     }
-    assert_eq!(hits.load(Ordering::Relaxed), 800);
-    assert_eq!(pool::stats().spawned_threads, after_warmup, "scope must reuse pooled workers");
 }
 
 #[test]
 fn zero_worker_pool_runs_everything_on_the_coordinator() {
+    let _g = counter_guard();
     let p = pool::WorkerPool::new(0);
-    let items: Vec<u32> = (0..33).collect();
-    let out = pool::map_chunked_on(Some(&p), 4, &items, || (), |_, i, &x| x as u64 + i as u64);
-    let seq: Vec<u64> = items.iter().enumerate().map(|(i, &x)| x as u64 + i as u64).collect();
-    assert_eq!(out, seq);
+    let items: Vec<u64> = (0..33).collect();
+    let seq: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(31)).collect();
+    assert_eq!(times_31_on(&p, 4, &items), seq);
     assert_eq!(p.workers(), 0);
 }

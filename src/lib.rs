@@ -9,8 +9,8 @@
 //!
 //! * [`linalg`] — matrices, Sherman–Morrison inverse tracking, statistics
 //!   (Welch's t-test), Gaussian KDE.
-//! * [`neural`] — from-scratch MLP with backprop, optimizers, and the
-//!   layer freezing used for personalized fine-tuning.
+//! * [`neural`] — from-scratch MLP with backprop, norm-clipped gradient
+//!   steps, and the layer freezing used for personalized fine-tuning.
 //! * [`bandit`] — LinUCB, NeuralUCB, and the paper's NN-enhanced UCB
 //!   (Alg. 1) plus the personalized estimator.
 //! * [`matching`] — Kuhn–Munkres / Hungarian assignment, min-cost flow,
@@ -20,6 +20,9 @@
 //!   generators for Tables III & IV).
 //! * [`lacb`] — the paper's contribution: VFGA (Alg. 2), LACB, LACB-Opt,
 //!   and every baseline behind a common [`lacb::Assigner`] trait.
+//! * [`pool`] — the persistent worker pool behind the parallel hot paths:
+//!   one chunked map that alone decides inline vs. parallel, with results
+//!   bit-identical for every thread count.
 //!
 //! See `examples/quickstart.rs` for a five-minute tour.
 //!

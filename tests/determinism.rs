@@ -85,7 +85,8 @@ fn small_world(seed: u64) -> Dataset {
 /// `begin_day` scoring round on a `brokers`-broker world: below the
 /// boundary the round splits into ≥ 2 chunks, above it it runs inline.
 /// 0 and `u64::MAX` force always-split / always-inline at *every*
-/// adaptive call site (CBS row selection and KM sharding included).
+/// `pool::map_chunks` call site (the dense CBS union and the fused
+/// score+select kernel included).
 fn boundary_cutoffs(brokers: usize) -> [u64; 4] {
     let total = SCORE_WORK_PER_BROKER * brokers as u64;
     let below = total / 2; // total/below = 2 chunks

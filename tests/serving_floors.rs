@@ -18,7 +18,10 @@
 //! Every `On` and `DenseOracle` run must serve bit-identically to the
 //! 1-thread `On` run of its world — across thread counts, repetitions
 //! and the two modes — by [`RunMetrics::first_divergence`] and the
-//! learned-state text. `Off` is only the timing denominator: it may
+//! learned-state text. fig8's batches are too small for the default
+//! cutoff to split any pool round, so its multi-thread runs use
+//! `parallel_cutoff: 0`, which by contract changes no result and makes
+//! every round parallel. `Off` is only the timing denominator: it may
 //! break ties differently, and `sparse_on_and_off_agree_on_batch_utility`
 //! in the `lacb` crate checks its values.
 //!
@@ -32,6 +35,7 @@
 
 use caam::lacb::{run, Lacb, LacbConfig, RunConfig, RunMetrics, SparseMode};
 use caam::platform_sim::{CityId, Dataset, RealWorldConfig, SyntheticConfig};
+use caam::pool::SEQ_CUTOFF_WORK;
 
 const SEED: u64 = 7;
 const REPEAT: usize = 3;
@@ -73,8 +77,14 @@ struct Served {
     state: String,
 }
 
-fn serve(ds: &Dataset, n_threads: usize, mode: SparseMode) -> Served {
-    let cfg = LacbConfig { seed: SEED, n_threads, sparse_assignment: mode, ..LacbConfig::opt() };
+fn serve(ds: &Dataset, n_threads: usize, parallel_cutoff: u64, mode: SparseMode) -> Served {
+    let cfg = LacbConfig {
+        seed: SEED,
+        n_threads,
+        parallel_cutoff,
+        sparse_assignment: mode,
+        ..LacbConfig::opt()
+    };
     let mut lacb = Lacb::new(cfg);
     let metrics = run(ds, &mut lacb, &RunConfig::default());
     let mut state = String::new();
@@ -100,8 +110,8 @@ impl Ladder {
 
 /// Serve `ds` at each of [`THREADS`], running `modes` in turn within each
 /// repetition, and check every `On` and `DenseOracle` run against the
-/// first (1-thread `On`) one.
-fn measure(world: &str, ds: &Dataset, modes: &[SparseMode]) -> Ladder {
+/// first (1-thread `On`) one. Runs above one thread use `cutoff`.
+fn measure(world: &str, ds: &Dataset, cutoff: u64, modes: &[SparseMode]) -> Ladder {
     assert_eq!(modes[0], SparseMode::On, "the reference run is 1-thread On");
     let hw = caam::pool::hardware_threads();
     let mut reference: Option<Served> = None;
@@ -109,11 +119,12 @@ fn measure(world: &str, ds: &Dataset, modes: &[SparseMode]) -> Ladder {
     for n in THREADS {
         let timed = n <= hw;
         let reps = if timed { REPEAT } else { 1 };
+        let cutoff = if n > 1 { cutoff } else { SEQ_CUTOFF_WORK };
         let mut best =
             vec![Best { assign_secs: f64::INFINITY, p99_secs: f64::INFINITY }; modes.len()];
         for rep in 0..reps {
             for (&mode, best) in modes.iter().zip(&mut best) {
-                let got = serve(ds, n, mode);
+                let got = serve(ds, n, cutoff, mode);
                 let t = &got.metrics.timings;
                 best.assign_secs = best.assign_secs.min(t.assign_batch_secs.iter().sum());
                 best.p99_secs = best.p99_secs.min(t.assign_percentile(99.0));
@@ -150,7 +161,7 @@ fn measure(world: &str, ds: &Dataset, modes: &[SparseMode]) -> Ladder {
 #[test]
 #[ignore = "wall-clock floor: run in release with --ignored --test-threads 1"]
 fn fig8_one_thread_p99_stays_within_its_baseline() {
-    let ladder = measure("fig8", &fig8(), &[SparseMode::On]);
+    let ladder = measure("fig8", &fig8(), 0, &[SparseMode::On]);
     let p99_ms = ladder.best(1, SparseMode::On).expect("1 thread is always timed").p99_secs * 1e3;
     let limit = (FIG8_P99_BASELINE_MS * P99_GROWTH).max(FIG8_P99_BASELINE_MS + P99_SLACK_MS);
     println!("fig8 p99: {p99_ms:.4} ms, limit {limit:.4} ms");
@@ -160,7 +171,7 @@ fn fig8_one_thread_p99_stays_within_its_baseline() {
 #[test]
 #[ignore = "wall-clock floor: run in release with --ignored --test-threads 1"]
 fn city_two_threads_keep_the_one_thread_throughput() {
-    let ladder = measure("city", &city(), &[SparseMode::On]);
+    let ladder = measure("city", &city(), SEQ_CUTOFF_WORK, &[SparseMode::On]);
     let (Some(one), Some(two)) = (ladder.best(1, SparseMode::On), ladder.best(2, SparseMode::On))
     else {
         println!("city 2-thread floor: not checked on a 1-thread machine");
@@ -179,7 +190,7 @@ fn city_two_threads_keep_the_one_thread_throughput() {
 #[ignore = "wall-clock floor: run in release with --ignored --test-threads 1"]
 fn city_sparse_path_beats_the_dense_pipeline() {
     let modes = [SparseMode::On, SparseMode::DenseOracle, SparseMode::Off];
-    let ladder = measure("city", &city(), &modes);
+    let ladder = measure("city", &city(), SEQ_CUTOFF_WORK, &modes);
     let on = ladder.best(1, SparseMode::On).expect("1 thread is always timed");
     let off = ladder.best(1, SparseMode::Off).expect("1 thread is always timed");
     let speedup = off.assign_secs / on.assign_secs;

@@ -3,15 +3,13 @@
 //! must agree, and CBS pruning (Theorem 2 / Corollary 1) must preserve
 //! the optimum.
 
-use caam::matching::cbs::candidate_union;
+use caam::matching::cbs::candidate_union_seeded_with;
 use caam::matching::flow::assignment_via_flow;
 use caam::matching::hungarian::{
     brute_force_assignment, max_weight_assignment, max_weight_assignment_padded,
 };
 use caam::matching::UtilityMatrix;
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn utility_matrix(rows: usize, cols: usize) -> impl Strategy<Value = UtilityMatrix> {
     proptest::collection::vec(0.0f64..1.0, rows * cols)
@@ -53,12 +51,13 @@ proptest! {
     fn cbs_preserves_optimum(
         u in (2usize..5, 8usize..24).prop_flat_map(|(r, c)| utility_matrix(r, c)),
         seed in 0u64..1000,
+        n_threads in 1usize..4,
     ) {
         // Corollary 1: taking Top^r_{|R|} per request preserves an
-        // optimal assignment.
-        let mut rng = StdRng::seed_from_u64(seed);
+        // optimal assignment — on the seeded union LACB-Opt's dense path
+        // serves, split across `n_threads` chunks (cutoff 0).
         let full = max_weight_assignment(&u);
-        let cols = candidate_union(&u, u.rows(), &mut rng);
+        let cols = candidate_union_seeded_with(&u, u.rows(), seed, n_threads, 0);
         let reduced = u.select_columns(&cols);
         let pruned = max_weight_assignment(&reduced);
         prop_assert!((full.total - pruned.total).abs() < 1e-9,
