@@ -505,12 +505,15 @@ mod tests {
     fn harness_exit_codes() {
         let dir = std::env::temp_dir().join("caam-cli-exit-codes");
         std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
         let d = dir.display();
         let tiny = "--brokers 12 --requests 120 --days 2 --sigma 0.3";
         let soak = "soak --quick --brokers 12 --requests 150 --days 2 --stages 1,2";
         let ramp = "overload --quick --requests 240 --days 3 --stages 1,8 --threads 1";
-        // (argv, gate failure?, texts the error must contain, file it must leave)
-        let cases: Vec<(String, bool, &[&str], Option<&str>)> = vec![
+        // (argv, gate failure?, texts the error must contain, file it
+        // must leave and texts that file must contain)
+        type Artifact<'a> = Option<(&'a str, &'a [&'a str])>;
+        let cases: Vec<(String, bool, &[&str], Artifact)> = vec![
             // Unknown names.
             (
                 "crash-test --scenario nope --points 1".into(),
@@ -542,6 +545,14 @@ mod tests {
             ("storage-chaos --seeds 0".into(), false, &["--seeds must be at least 1"], None),
             // Impossible goodput floors trip a gate.
             (format!("{ramp} --goodput-floor 1000"), true, &["overload gates failed"], None),
+            // Panics the ladder absorbed fail zero-panics, and its
+            // detail names them.
+            (
+                format!("{ramp} --scenario utility-corruption --out {d}/corrupt.json"),
+                true,
+                &["1/4 overload gates failed"],
+                Some(("corrupt.json", &["primary panics absorbed by the resilient ladder"])),
+            ),
             (
                 format!("{soak} --crash-points 1 --goodput-floor 2.0 --dir {d}/soak"),
                 true,
@@ -552,7 +563,7 @@ mod tests {
                 format!("failover {tiny} --points 1 --net lossy --goodput-floor 1000 --dir {d}/f"),
                 true,
                 &["failover runs failed"],
-                Some("f/failover-report.txt"),
+                Some(("f/failover-report.txt", &[])),
             ),
         ];
         for (line, gate, texts, artifact) in cases {
@@ -562,8 +573,12 @@ mod tests {
             for want in texts {
                 assert!(text.contains(want), "{line}: {text:?} lacks {want:?}");
             }
-            if let Some(file) = artifact {
-                assert!(dir.join(file).exists(), "{line}: {file} not written");
+            if let Some((file, wants)) = artifact {
+                let body = std::fs::read_to_string(dir.join(file))
+                    .unwrap_or_else(|e| panic!("{line}: {file} not written: {e}"));
+                for want in wants {
+                    assert!(body.contains(want), "{line}: {file} lacks {want:?}:\n{body}");
+                }
             }
         }
         std::fs::remove_dir_all(&dir).ok();

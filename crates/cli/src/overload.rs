@@ -79,6 +79,7 @@ pub fn cmd_overload(args: &Args) -> Result<(), CliError> {
     let Some(ov) = &reference.metrics.overload else {
         return Err(CliError::Gate("run carried no overload stats".into()));
     };
+    let absorbed = reference.metrics.resilience.as_ref().map_or(0, |s| s.primary_panics);
 
     // Goodput curve: baseline is the mean served over the first-stage
     // days; no day may fall below the floor.
@@ -121,9 +122,14 @@ pub fn cmd_overload(args: &Args) -> Result<(), CliError> {
         },
         Gate {
             name: "zero-panics",
-            pass: panic_detail.is_none()
-                && reference.metrics.resilience.as_ref().map_or(0, |s| s.primary_panics) == 0,
-            detail: panic_detail.clone().unwrap_or_else(|| "no panics observed".into()),
+            pass: panic_detail.is_none() && absorbed == 0,
+            detail: match &panic_detail {
+                Some(why) => why.clone(),
+                None if absorbed > 0 => {
+                    format!("{absorbed} primary panics absorbed by the resilient ladder")
+                }
+                None => "no panics observed".into(),
+            },
         },
         Gate {
             name: "thread-identical",

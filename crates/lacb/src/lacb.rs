@@ -135,6 +135,53 @@ fn splitmix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Add Eq. (15)'s per-column terms to one row of utilities: one
+/// branch-free addition per cell, since a zero term is −0.0
+/// ([`Lacb::refinements_into`]).
+fn refine_row(row: &mut [f64], adj: &[f64]) {
+    for (v, &a) in row.iter_mut().zip(adj) {
+        *v += a;
+    }
+}
+
+/// The refined rows admission priced this tick (§11 step 2), staged
+/// for the `assign_batch` that follows. The rows themselves stay in
+/// `reduced_buf`, in offered order; the fused kernel copies the row of
+/// each admitted request instead of scoring it again. Rows are found by
+/// request id, since admission drains in priority order. The record
+/// serves one `assign_batch` at most and only a full-quality sparse
+/// one; a row is rescored when its inputs may differ: the request was
+/// priced in an earlier tick, a pre-solve quarantine changed the
+/// available set, or the batch's utilities are corrupted. All buffers
+/// are reused across ticks.
+#[derive(Debug, Default)]
+struct PricedRows {
+    /// Platform `(day, batch)` the rows were priced at, while staged.
+    at: Option<(usize, usize)>,
+    /// The available set the rows span.
+    available: Vec<usize>,
+    /// `(request id, priced row)`, sorted by id.
+    ids: Vec<(usize, usize)>,
+    /// Per row of the batch being matched: the priced row it copies,
+    /// or `None` to score it.
+    rows: Vec<Option<usize>>,
+}
+
+impl PricedRows {
+    /// Point each row of `requests` at its request's priced row, or at
+    /// `None` to score it; with `reuse` false every row is scored.
+    fn map_rows(&mut self, reuse: bool, requests: &[Request]) {
+        let PricedRows { ids, rows, .. } = self;
+        rows.clear();
+        if reuse {
+            let row_of = |id| ids.binary_search_by_key(&id, |&(id, _)| id).ok().map(|i| ids[i].1);
+            rows.extend(requests.iter().map(|q| row_of(q.id)));
+        } else {
+            rows.resize(requests.len(), None);
+        }
+    }
+}
+
 /// The capacity estimator behind LACB (one of the two personalisation
 /// mechanisms).
 enum EstimatorImpl {
@@ -234,10 +281,14 @@ pub struct Lacb {
     pruned_buf: UtilityMatrix,
     /// Sparse fast-path buffers reused across batches (§16): the fused
     /// kernel's buffers (the CSR candidate graph and the candidate-union
-    /// column ids, indices into today's available set), and the
-    /// per-available-column value refinements. All derived state.
+    /// column ids, indices into today's available set). All derived
+    /// state, like the per-available-column value refinements that
+    /// every path fills.
     fused: FusedBuffers,
     adj_buf: Vec<f64>,
+    /// The rows admission priced this tick, staged for the fused
+    /// kernel (derived state).
+    priced: PricedRows,
     /// Runtime invariant audits and per-broker quarantine (§12).
     auditor: Auditor,
     /// Cumulative sub-stage timing telemetry since the last
@@ -270,6 +321,7 @@ impl Lacb {
             pruned_buf: UtilityMatrix::zeros(0, 0),
             fused: FusedBuffers::default(),
             adj_buf: Vec::new(),
+            priced: PricedRows::default(),
             auditor,
             breakdown: StageBreakdown::default(),
         }
@@ -326,26 +378,44 @@ impl Lacb {
     /// (high utility against brokers with headroom) rank highest, so
     /// the watermark shed drops exactly the lowest-value traffic.
     /// Returns 0.0 for every request when no broker has headroom.
+    ///
+    /// The refined rows stay staged in `reduced_buf` for this tick's
+    /// `assign_batch`, whose fused kernel copies them instead of
+    /// scoring the same pairs again (see [`PricedRows`]).
     pub fn shed_priorities(&mut self, platform: &Platform, requests: &[Request]) -> Vec<f64> {
-        let available: Vec<usize> = (0..platform.num_brokers())
-            .filter(|&b| {
-                !self.auditor.is_quarantined(b) && platform.workload_today(b) < self.capacities[b]
-            })
-            .collect();
-        if available.is_empty() || requests.is_empty() {
+        let mut priced = std::mem::take(&mut self.priced);
+        priced.at = None;
+        priced.available.clear();
+        priced.available.extend(self.available(platform));
+        if priced.available.is_empty() || requests.is_empty() {
+            self.priced = priced;
             return vec![0.0; requests.len()];
         }
         let mut full = std::mem::replace(&mut self.full_buf, UtilityMatrix::zeros(0, 0));
         let mut reduced = std::mem::replace(&mut self.reduced_buf, UtilityMatrix::zeros(0, 0));
         platform.utility_matrix_into(requests, &mut full);
-        reduced.select_columns_from(&full, &available);
-        self.refine_utilities(&mut reduced, &available, platform);
+        self.breakdown.pairs_scored += (requests.len() * platform.num_brokers()) as u64;
+        reduced.select_columns_from(&full, &priced.available);
+        self.refine_utilities(&mut reduced, &priced.available, platform);
         let prios = (0..reduced.rows())
             .map(|r| reduced.row(r).iter().cloned().fold(f64::NEG_INFINITY, f64::max))
             .collect();
+        priced.at = Some((platform.day_index(), platform.batch_index()));
+        priced.ids.clear();
+        priced.ids.extend(requests.iter().enumerate().map(|(row, q)| (q.id, row)));
+        priced.ids.sort_unstable();
         self.full_buf = full;
         self.reduced_buf = reduced;
+        self.priced = priced;
         prios
+    }
+
+    /// Alg. 2 line 4: the available brokers `B+ = {b | w_b < c_b}`,
+    /// minus any broker quarantined by the auditor (repair pending).
+    fn available<'a>(&'a self, platform: &'a Platform) -> impl Iterator<Item = usize> + 'a {
+        (0..platform.num_brokers()).filter(move |&b| {
+            !self.auditor.is_quarantined(b) && platform.workload_today(b) < self.capacities[b]
+        })
     }
 
     /// The layer-transfer estimator, when that personalisation mode is
@@ -491,6 +561,7 @@ impl Lacb {
             pruned_buf: UtilityMatrix::zeros(0, 0),
             fused: FusedBuffers::default(),
             adj_buf: Vec::new(),
+            priced: PricedRows::default(),
             auditor,
             breakdown: StageBreakdown::default(),
         })
@@ -523,29 +594,44 @@ impl Lacb {
         self.days_reached = vec![0; n];
     }
 
-    /// Eq. (15): refine the utilities of top brokers (`f_b > δ`) with the
-    /// value-function advantage `γV(cr−1) − V(cr)`.
+    /// Eq. (15) as one additive term per available column: `adj[j]` is
+    /// the value-function advantage `γV(cr−1) − V(cr)` of broker
+    /// `available[j]` when it is a top broker (`f_b > δ`). Any other
+    /// term, and a zero advantage, is −0.0, the exact additive identity:
+    /// `x + −0.0` is `x` bit for bit (−0.0 and NaN included), where
+    /// `x + 0.0` would turn a −0.0 cell into 0.0.
+    fn refinements_into(&self, available: &[usize], platform: &Platform, adj: &mut Vec<f64>) {
+        adj.clear();
+        adj.resize(available.len(), -0.0);
+        if self.days_elapsed == 0 {
+            return; // no frequency statistics yet
+        }
+        for (a, &b) in adj.iter_mut().zip(available) {
+            if self.capacity_frequency(b) > self.cfg.delta {
+                let cr = self.capacities[b] - platform.workload_today(b);
+                let term = self.value_fn.refinement(cr);
+                if term != 0.0 {
+                    *a = term;
+                }
+            }
+        }
+    }
+
+    /// Eq. (15) over a requests × `available` matrix, row by row.
     fn refine_utilities(
-        &self,
+        &mut self,
         reduced: &mut UtilityMatrix,
         available: &[usize],
         platform: &Platform,
     ) {
-        if self.days_elapsed == 0 {
-            return; // no frequency statistics yet
-        }
-        for (j, &b) in available.iter().enumerate() {
-            if self.capacity_frequency(b) > self.cfg.delta {
-                let cr = self.capacities[b] - platform.workload_today(b);
-                let adj = self.value_fn.refinement(cr);
-                if adj != 0.0 {
-                    for r in 0..reduced.rows() {
-                        let v = reduced.get(r, j);
-                        reduced.set(r, j, v + adj);
-                    }
-                }
+        let mut adj = std::mem::take(&mut self.adj_buf);
+        self.refinements_into(available, platform, &mut adj);
+        if adj.iter().any(|&a| a != 0.0) {
+            for r in 0..reduced.rows() {
+                refine_row(reduced.row_mut(r), &adj);
             }
         }
+        self.adj_buf = adj;
     }
 
     /// The legal range of a deployed capacity: the arm span plus the
@@ -880,6 +966,9 @@ impl Lacb {
     /// to solving the same graph's masked-dense expansion with the
     /// reference dense solver ([`SparseMode::DenseOracle`]), and
     /// value-equal to the legacy dense pipeline (Corollary 1).
+    ///
+    /// A row that `priced.rows` maps to a priced row is copied from
+    /// `reduced_buf` instead of scored again ([`PricedRows`]).
     fn assign_batch_sparse(
         &mut self,
         platform: &Platform,
@@ -889,32 +978,34 @@ impl Lacb {
         audit_on: bool,
         audit_batch: usize,
     ) -> Vec<Option<usize>> {
-        // Eq. (15) refinement as a per-available-column additive term:
-        // the dense path adds `γV(cr−1) − V(cr)` to whole columns of
-        // the reduced matrix; here the identical adjustment folds into
-        // the score closure. The `adj != 0.0` guard mirrors
-        // `refine_utilities` (adding 0.0 would flip −0.0 cells).
+        // Eq. (15) refinement folds into the score closure, one term
+        // per available column, exactly as pricing applied it.
         let mut adj = std::mem::take(&mut self.adj_buf);
-        adj.clear();
-        adj.resize(available.len(), 0.0);
-        if self.days_elapsed > 0 {
-            for (j, &b) in available.iter().enumerate() {
-                if self.capacity_frequency(b) > self.cfg.delta {
-                    let cr = self.capacities[b] - platform.workload_today(b);
-                    adj[j] = self.value_fn.refinement(cr);
-                }
-            }
-        }
+        self.refinements_into(available, platform, &mut adj);
+        let rows = std::mem::take(&mut self.priced.rows);
+        let rescored = rows.iter().filter(|p| p.is_none()).count();
+        self.breakdown.pairs_scored += (rescored * available.len()) as u64;
         let k = MatchMode::Full.candidate_budget(requests.len());
         let mut fused = std::mem::take(&mut self.fused);
         let t_build = Instant::now();
         {
-            let adj = &adj;
-            let score = move |r: usize, row: &mut [f64]| {
+            let (adj, rows, priced) = (&adj, &rows, &self.reduced_buf);
+            let fresh = move |r: usize, row: &mut [f64]| {
                 platform.pair_utilities_into(r, &requests[r], available, row);
-                for (v, &a) in row.iter_mut().zip(adj) {
-                    if a != 0.0 {
-                        *v += a;
+                refine_row(row, adj);
+            };
+            let score = move |r: usize, row: &mut [f64]| match rows[r] {
+                None => fresh(r, row),
+                Some(p) => {
+                    row.copy_from_slice(priced.row(p));
+                    if cfg!(debug_assertions) {
+                        let mut rescore = vec![0.0; row.len()];
+                        fresh(r, &mut rescore);
+                        debug_assert!(
+                            row.iter().zip(&rescore).all(|(a, b)| a.to_bits() == b.to_bits()),
+                            "priced row of request {} differs from its rescore",
+                            requests[r].id
+                        );
                     }
                 }
             };
@@ -990,6 +1081,7 @@ impl Lacb {
         }
         self.fused = fused;
         self.adj_buf = adj;
+        self.priced.rows = rows;
         if audit_on {
             self.post_solve_audit(platform, &assignment, audit_batch);
         }
@@ -1086,6 +1178,9 @@ impl Assigner for Lacb {
     }
 
     fn assign_batch(&mut self, platform: &Platform, requests: &[Request]) -> Vec<Option<usize>> {
+        // The rows admission priced this tick serve this call at most:
+        // every path below drops the record.
+        let staged = self.priced.at.take() == Some((platform.day_index(), platform.batch_index()));
         let audit_on = self.auditor.enabled();
         let audit_batch = self.batch_in_day as usize;
         if audit_on {
@@ -1096,13 +1191,7 @@ impl Assigner for Lacb {
         // batch to the greedy floor, which consumes no learned solver
         // state.
         let greedy_override = audit_on && self.auditor.take_pending_greedy();
-        // Alg. 2 line 4: available brokers B+ = {b | w_b < c_b}, minus
-        // any broker quarantined by the auditor (repair pending).
-        let available: Vec<usize> = (0..platform.num_brokers())
-            .filter(|&b| {
-                !self.auditor.is_quarantined(b) && platform.workload_today(b) < self.capacities[b]
-            })
-            .collect();
+        let available: Vec<usize> = self.available(platform).collect();
         if available.is_empty() || requests.is_empty() {
             return vec![None; requests.len()];
         }
@@ -1121,6 +1210,12 @@ impl Assigner for Lacb {
             && matches!(effective_mode, MatchMode::Full)
             && self.cfg.sparse_assignment != SparseMode::Off
         {
+            // A priced row equals its rescore unless a pre-solve
+            // quarantine changed the columns or the batch's utilities
+            // are corrupted (corrupted cells are keyed by batch row).
+            let reuse =
+                staged && self.priced.available == available && !platform.utilities_corrupted();
+            self.priced.map_rows(reuse, requests);
             return self.assign_batch_sparse(
                 platform,
                 requests,
@@ -1142,6 +1237,7 @@ impl Assigner for Lacb {
         let mut full = std::mem::replace(&mut self.full_buf, UtilityMatrix::zeros(0, 0));
         let mut reduced = std::mem::replace(&mut self.reduced_buf, UtilityMatrix::zeros(0, 0));
         platform.utility_matrix_into(requests, &mut full);
+        self.breakdown.pairs_scored += (requests.len() * platform.num_brokers()) as u64;
         reduced.select_columns_from(&full, &available);
         // Alg. 2 lines 5–6 / Eq. (15): value-function refinement.
         self.refine_utilities(&mut reduced, &available, platform);
@@ -1308,8 +1404,9 @@ impl Assigner for Lacb {
 mod tests {
     use super::*;
     use crate::assigner::assert_is_matching;
-    use platform_sim::Dataset;
-    use platform_sim::SyntheticConfig;
+    use crate::core::Engine;
+    use crate::testkit::assert_bit_identical;
+    use platform_sim::{BrokerProfile, Dataset, SyntheticConfig, UtilityModel};
 
     fn world(seed: u64) -> (Platform, Dataset) {
         let cfg = SyntheticConfig {
@@ -1633,6 +1730,49 @@ mod tests {
                 assert_eq!(asg1, asg, "{mode:?} at {threads} threads diverged from 1-thread On");
                 assert_eq!(t1.to_bits(), t.to_bits());
             }
+        }
+    }
+
+    #[test]
+    fn fused_tie_break_is_thread_count_invariant() {
+        // Groups of four brokers share one profile and the utility model
+        // has no pair noise, so on day 0 (no refinement yet) rows tie at
+        // their k-boundary: the kernel's seeded key alone picks which
+        // tied brokers become candidates, whatever the thread count.
+        let mut ds = Dataset::synthetic(&SyntheticConfig {
+            num_brokers: 24,
+            num_requests: 480,
+            days: 2,
+            imbalance: 0.25,
+            seed: 19,
+        });
+        let leaders = ds.brokers.clone();
+        for (b, broker) in ds.brokers.iter_mut().enumerate() {
+            *broker = BrokerProfile { id: b, ..leaders[b / 4 * 4].clone() };
+        }
+        let platform = || Platform::new(ds.brokers.clone(), UtilityModel::new(0.35, 0, 0.0));
+        let first = &ds.days[0][0].requests;
+        let u = platform().utility_matrix(first);
+        let k = MatchMode::Full.candidate_budget(first.len());
+        let tied = (0..u.rows()).any(|r| {
+            let mut row = u.row(r).to_vec();
+            row.sort_by(|a, b| b.total_cmp(a));
+            row[k - 1] == row[k]
+        });
+        assert!(tied, "no row ties at its k-boundary");
+        let serve = |n_threads| {
+            let cfg = LacbConfig { n_threads, parallel_cutoff: 0, ..LacbConfig::opt() };
+            let mut lacb = Lacb::new(cfg);
+            let m = Engine::new(&ds, platform(), &mut lacb as &mut dyn Assigner).serve();
+            let mut state = String::new();
+            lacb.write_state(&mut state);
+            (m, state)
+        };
+        let (m1, s1) = serve(1);
+        for n_threads in [2, 4] {
+            let (m, s) = serve(n_threads);
+            assert_bit_identical(&m1, &m);
+            assert_eq!(s1, s, "learned state diverged at {n_threads} threads");
         }
     }
 

@@ -259,16 +259,32 @@ impl Platform {
     /// allocation across batches.
     pub fn utility_matrix_into(&self, requests: &[Request], out: &mut UtilityMatrix) {
         self.utility.utility_matrix_into(requests, &self.brokers, out);
-        if let Some(plan) = &self.faults {
+        if let Some(plan) = self.corrupting_plan() {
             for r in 0..out.rows() {
                 for b in 0..out.cols() {
-                    if let Some(bad) = plan.corrupt_utility(self.day_index, self.batch_index, r, b)
-                    {
+                    if let Some(bad) = plan.corrupt_cell(self.day_index, self.batch_index, r, b) {
                         out.set(r, b, bad);
                     }
                 }
             }
         }
+    }
+
+    /// Does utility corruption hit the next batch? Its cells are keyed
+    /// by batch row, so a row filled for one batch position equals the
+    /// same request's row at another position exactly when this is
+    /// false. Always false when fault injection is off.
+    pub fn utilities_corrupted(&self) -> bool {
+        self.corrupting_plan().is_some()
+    }
+
+    /// The fault plan, when its batch coin corrupts the next batch's
+    /// utilities. Drawn once per fill or row: a quiet batch costs
+    /// nothing per cell.
+    fn corrupting_plan(&self) -> Option<&FaultPlan> {
+        self.faults
+            .as_ref()
+            .filter(|plan| plan.utilities_corrupted(self.day_index, self.batch_index))
     }
 
     /// One cell of [`Self::utility_matrix`]: the predicted utility of
@@ -280,8 +296,8 @@ impl Platform {
     /// the dense matrix without materialising it.
     pub fn pair_utility(&self, row: usize, request: &Request, b: usize) -> f64 {
         let mut u = self.utility.utility(request, &self.brokers[b]);
-        if let Some(plan) = &self.faults {
-            if let Some(bad) = plan.corrupt_utility(self.day_index, self.batch_index, row, b) {
+        if let Some(plan) = self.corrupting_plan() {
+            if let Some(bad) = plan.corrupt_cell(self.day_index, self.batch_index, row, b) {
                 u = bad;
             }
         }
@@ -292,8 +308,8 @@ impl Platform {
     /// subset: `out[j] = pair_utility(row, request, cols[j])`. `cols`
     /// must be sorted and duplicate-free (an availability mask). The
     /// batched form keeps the model evaluation in a tight loop (no
-    /// per-cell fault-plan branch when no plan is armed), which is what
-    /// the fused score+select kernel streams over; each cell is
+    /// per-cell fault-plan branch unless the batch is corrupted), which
+    /// is what the fused score+select kernel streams over; each cell is
     /// bit-identical to the dense fill.
     pub fn pair_utilities_into(
         &self,
@@ -316,9 +332,9 @@ impl Platform {
                 *slot = self.utility.utility(request, &self.brokers[b]);
             }
         }
-        if let Some(plan) = &self.faults {
+        if let Some(plan) = self.corrupting_plan() {
             for (slot, &b) in out.iter_mut().zip(cols) {
-                if let Some(bad) = plan.corrupt_utility(self.day_index, self.batch_index, row, b) {
+                if let Some(bad) = plan.corrupt_cell(self.day_index, self.batch_index, row, b) {
                     *slot = bad;
                 }
             }
@@ -474,6 +490,7 @@ impl Platform {
 mod tests {
     use super::*;
     use crate::config::SyntheticConfig;
+    use crate::faults::FaultConfig;
 
     fn small_world() -> (Platform, Dataset) {
         let cfg = SyntheticConfig {
@@ -580,6 +597,46 @@ mod tests {
         let m = p.utility_matrix(&ds.days[0][0].requests);
         assert_eq!(m.rows(), ds.days[0][0].requests.len());
         assert_eq!(m.cols(), 20);
+    }
+
+    #[test]
+    fn every_fill_matches_the_per_cell_corruption_schedule() {
+        // The fills draw the batch coin once and walk cells only when
+        // it fires; each must still equal the per-cell definition.
+        let (mut p, ds) = small_world();
+        let plan = FaultPlan::new(FaultConfig {
+            seed: 3,
+            utility_corruption: 0.5,
+            corruption_density: 0.3,
+            ..FaultConfig::default()
+        });
+        p.enable_faults(plan);
+        p.begin_day();
+        let cols: Vec<usize> = (0..p.num_brokers()).step_by(3).collect();
+        let mut row = vec![0.0; cols.len()];
+        let mut fired = 0;
+        for batch in &ds.days[0] {
+            let reqs = &batch.requests;
+            let m = p.utility_matrix(reqs);
+            let mut corrupted = 0;
+            for (r, q) in reqs.iter().enumerate() {
+                for b in 0..p.num_brokers() {
+                    let bad = plan.corrupt_utility(p.day_index(), p.batch_index(), r, b);
+                    corrupted += usize::from(bad.is_some());
+                    let want = bad.unwrap_or_else(|| p.utility_model().utility(q, &p.brokers()[b]));
+                    assert_eq!(m.get(r, b).to_bits(), want.to_bits(), "cell ({r}, {b})");
+                    assert_eq!(p.pair_utility(r, q, b).to_bits(), want.to_bits());
+                }
+                p.pair_utilities_into(r, q, &cols, &mut row);
+                for (&v, &b) in row.iter().zip(&cols) {
+                    assert_eq!(v.to_bits(), m.get(r, b).to_bits(), "row {r}, broker {b}");
+                }
+            }
+            assert_eq!(p.utilities_corrupted(), corrupted > 0);
+            fired += usize::from(p.utilities_corrupted());
+            p.execute_batch(reqs, &vec![None; reqs.len()]);
+        }
+        assert!(0 < fired && fired < ds.days[0].len(), "{fired} corrupted batches");
     }
 
     #[test]

@@ -336,10 +336,25 @@ impl FaultPlan {
     /// entry is clean. The corrupted value cycles through NaN, +∞, −∞
     /// and an absurdly large finite score.
     pub fn corrupt_utility(&self, day: usize, batch: usize, r: usize, b: usize) -> Option<f64> {
-        let (day, batch) = (day as u64, batch as u64);
-        if !self.coin(FaultKind::UtilityCorruption, day, batch, 0, self.cfg.utility_corruption) {
+        if !self.utilities_corrupted(day, batch) {
             return None;
         }
+        self.corrupt_cell(day, batch, r, b)
+    }
+
+    /// The batch coin of [`Self::corrupt_utility`]: does utility
+    /// corruption hit `(day, batch)` at all? It is keyed by the batch
+    /// alone, so a utility fill draws it once and walks its cells only
+    /// when it fires.
+    pub fn utilities_corrupted(&self, day: usize, batch: usize) -> bool {
+        let (day, batch) = (day as u64, batch as u64);
+        self.coin(FaultKind::UtilityCorruption, day, batch, 0, self.cfg.utility_corruption)
+    }
+
+    /// The cell half of [`Self::corrupt_utility`], for a batch whose
+    /// coin ([`Self::utilities_corrupted`]) fired.
+    pub fn corrupt_cell(&self, day: usize, batch: usize, r: usize, b: usize) -> Option<f64> {
+        let (day, batch) = (day as u64, batch as u64);
         // Entry-level coin keyed by both indices folded into one word.
         let cell = (r as u64) << 32 | (b as u64 & 0xFFFF_FFFF);
         if !self.coin(

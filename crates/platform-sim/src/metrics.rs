@@ -291,6 +291,12 @@ pub struct StageBreakdown {
     pub sparse_rows: u64,
     /// Candidate edges (CSR non-zeros) emitted by the fused kernel.
     pub sparse_edges: u64,
+    /// Pair utilities the matcher filled: rows × brokers per dense
+    /// fill (admission pricing included), rows × available brokers per
+    /// row the fused kernel scored. A priced row the kernel copies
+    /// counts 0, and so does the reward lookup of each assignment.
+    /// Deterministic: the work count beside the fill and kernel times.
+    pub pairs_scored: u64,
 }
 
 impl StageBreakdown {
@@ -306,6 +312,7 @@ impl StageBreakdown {
         self.sparse_build_secs += other.sparse_build_secs;
         self.sparse_rows += other.sparse_rows;
         self.sparse_edges += other.sparse_edges;
+        self.pairs_scored += other.pairs_scored;
     }
 }
 

@@ -143,35 +143,59 @@ fn cutoff_boundary_holds_under_fault_schedules() {
 #[test]
 fn cutoff_boundary_holds_under_overload_ramp() {
     let base = small_world(93);
-    let ramp = ramp_dataset(&base, &[1, 4], 0x5D);
     let ocfg = OverloadConfig::sized_for(&base);
-    let plan = FaultPlan::new(FaultConfig::default());
     let cfg = |n_threads, parallel_cutoff| LacbConfig {
         seed: 5,
         n_threads,
         parallel_cutoff,
         ..LacbConfig::opt()
     };
-    // Every run must account for each offered request: admitted, shed
-    // with a reason, or still queued. The 4x stage must shed, or the
-    // balance proves nothing.
-    let run_at = |n_threads, cutoff| {
-        let rcfg = ResilienceConfig::default();
-        let m = run_overload(&ramp.dataset, cfg(n_threads, cutoff), rcfg, &ocfg, plan).metrics;
-        let ov = m.overload.as_ref().expect("run_overload reports overload stats");
-        assert!(ov.accounting_balanced(), "shed accounting unbalanced: {ov:?}");
-        assert!(ov.shed_total() > 0, "the 4x stage shed nothing");
-        m
+    // The fused kernel copies the rows admission priced this tick and
+    // rescores the rest. The quiet 4x ramp reuses nearly every row. The
+    // 2x ramp keeps full quality while the queue carries requests over
+    // a tick, and its plan corrupts utilities (rows keyed by batch
+    // position) and learned state (pre-solve quarantines re-mask the
+    // columns), so it reaches every rescored kind. Debug builds rescore
+    // each reused row and assert bit equality, and on the quiet plan the
+    // ladder may absorb no panic. `pairs_scored` pins how many pair
+    // utilities each reference run filled.
+    let corrupting = FaultConfig {
+        utility_corruption: 0.3,
+        corruption_density: 0.05,
+        ..FaultConfig::scenario("state-corruption", 5).unwrap()
     };
-    let reference = run_at(1, LacbConfig::opt().parallel_cutoff);
-    for cutoff in boundary_cutoffs(base.brokers.len()) {
-        for n_threads in [2, 4] {
-            let got = run_at(n_threads, cutoff);
-            assert_eq!(
-                reference.first_divergence(&got),
-                None,
-                "overload ramp diverged at n_threads={n_threads} cutoff={cutoff}"
-            );
+    let inputs = [([1, 4], FaultConfig::default(), 24_560), ([1, 2], corrupting, 19_584)];
+    for (stages, faults, pairs_scored) in inputs {
+        let ramp = ramp_dataset(&base, &stages, 0x5D);
+        let plan = FaultPlan::new(faults);
+        // Every run must account for each offered request: admitted,
+        // shed with a reason, or still queued. The ramp must shed, or
+        // the balance proves nothing.
+        let run_at = |n_threads, cutoff| {
+            let rcfg = ResilienceConfig::default();
+            let m = run_overload(&ramp.dataset, cfg(n_threads, cutoff), rcfg, &ocfg, plan).metrics;
+            let ov = m.overload.as_ref().expect("run_overload reports overload stats");
+            assert!(ov.accounting_balanced(), "shed accounting unbalanced: {ov:?}");
+            assert!(ov.shed_total() > 0, "the {stages:?} ramp shed nothing");
+            m
+        };
+        let reference = run_at(1, LacbConfig::opt().parallel_cutoff);
+        let scored = reference.timings.breakdown.pairs_scored;
+        assert_eq!(scored, pairs_scored, "pairs scored on the {stages:?} ramp");
+        if faults.is_quiet() {
+            let panics = reference.resilience.as_ref().map_or(0, |s| s.primary_panics);
+            assert_eq!(panics, 0, "the ladder absorbed a panic on a quiet ramp");
+        }
+        for cutoff in boundary_cutoffs(base.brokers.len()) {
+            for n_threads in [2, 4] {
+                let got = run_at(n_threads, cutoff);
+                assert_eq!(
+                    reference.first_divergence(&got),
+                    None,
+                    "{stages:?} ramp diverged at n_threads={n_threads} cutoff={cutoff}"
+                );
+                assert_eq!(got.timings.breakdown.pairs_scored, scored);
+            }
         }
     }
 }
