@@ -92,6 +92,12 @@ impl CandidateCapacities {
     /// capacity — the per-arm scoring loop calls this once per arm.
     pub fn encode_into(&self, context: &[f64], capacity: f64, out: &mut Vec<f64>) {
         out.clear();
+        self.encode_append(context, capacity, out);
+    }
+
+    /// [`Self::encode`] appended to `out` — one more row of a block of
+    /// encoded samples.
+    pub fn encode_append(&self, context: &[f64], capacity: f64, out: &mut Vec<f64>) {
         out.extend_from_slice(context);
         out.push(capacity / self.max_value);
     }

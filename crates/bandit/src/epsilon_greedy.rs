@@ -3,7 +3,7 @@
 
 use crate::arms::CandidateCapacities;
 use crate::traits::CapacityEstimator;
-use neural::{Mlp, MlpBuilder};
+use neural::{Mlp, MlpBuilder, TrainScratch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -18,7 +18,12 @@ pub struct EpsilonGreedy {
     epsilon: f64,
     lr: f64,
     batch_size: usize,
-    buffer: Vec<(Vec<f64>, f64, f64)>,
+    /// Buffered trials, encoded: one `arms.encode(x, w)` row each.
+    rows: Vec<f64>,
+    /// Each buffered trial's reward.
+    rewards: Vec<f64>,
+    /// Training buffers, reused across flushes (derived state).
+    train: TrainScratch,
     rng: StdRng,
     trials: u64,
     cumulative_reward: f64,
@@ -45,7 +50,9 @@ impl EpsilonGreedy {
             epsilon,
             lr,
             batch_size: 16,
-            buffer: Vec::new(),
+            rows: Vec::new(),
+            rewards: Vec::new(),
+            train: TrainScratch::default(),
             rng,
             trials: 0,
             cumulative_reward: 0.0,
@@ -93,16 +100,22 @@ impl CapacityEstimator for EpsilonGreedy {
     fn update(&mut self, context: &[f64], workload: f64, reward: f64) {
         self.trials += 1;
         self.cumulative_reward += reward;
-        self.buffer.push((context.to_vec(), workload, reward));
-        if self.buffer.len() >= self.batch_size {
-            let inputs: Vec<Vec<f64>> =
-                self.buffer.iter().map(|(x, w, _)| self.arms.encode(x, *w)).collect();
-            let targets: Vec<f64> = self.buffer.iter().map(|&(_, _, s)| s).collect();
-            let lr = self.lr / inputs.len() as f64;
+        self.arms.encode_append(context, workload, &mut self.rows);
+        self.rewards.push(reward);
+        if self.rewards.len() >= self.batch_size {
+            let lr = self.lr / self.rewards.len() as f64;
             for _ in 0..6 {
-                self.net.train_step_clipped(&inputs, &targets, lr, 1e-4, 50.0);
+                self.net.train_step_rows(
+                    &self.rows,
+                    &self.rewards,
+                    lr,
+                    1e-4,
+                    50.0,
+                    &mut self.train,
+                );
             }
-            self.buffer.clear();
+            self.rows.clear();
+            self.rewards.clear();
         }
     }
 

@@ -4,7 +4,7 @@ use crate::arms::CandidateCapacities;
 use crate::state;
 use crate::traits::CapacityEstimator;
 use linalg::{InverseTracker, UcbCovariance};
-use neural::{Mlp, MlpBuilder, MlpScratch};
+use neural::{Mlp, MlpBuilder, MlpScratch, TrainScratch};
 use rand::Rng;
 
 /// Reusable buffers for one arm-scoring pass: the network scratch, the
@@ -49,8 +49,9 @@ pub struct NnUcbConfig {
     /// 16-trial buffer once and discards it; with one trial per broker
     /// per day that wastes most of the scarce signal. When
     /// `replay_cap > 0`, flushed trials are retained (FIFO up to the
-    /// cap) and every training flush fits the whole ring. `0` reproduces
-    /// the paper's literal buffer-only training.
+    /// cap, oldest dropped first) and every training flush fits the
+    /// whole ring, oldest trial first. `0` reproduces the paper's
+    /// literal buffer-only training.
     pub replay_cap: usize,
 }
 
@@ -115,15 +116,111 @@ pub struct NnUcb {
     net: Mlp,
     dinv: InverseTracker,
     /// Observation buffer `ob` of `(x, w, s)` trial triples.
-    buffer: Vec<(Vec<f64>, f64, f64)>,
+    buffer: Trials,
     /// Experience-replay ring (active when `cfg.replay_cap > 0`).
-    replay: std::collections::VecDeque<(Vec<f64>, f64, f64)>,
+    replay: Trials,
     trials: u64,
     cumulative_reward: f64,
     /// Lazily-built scoring buffers for the `&mut self` entry points
     /// (`choose`/`update`). Derived state: never serialised, and cloning
     /// it merely clones warm buffers.
     scratch_slot: Option<NnUcbScratch>,
+    /// Training buffers, reused across flushes. Derived state: never
+    /// serialised; a clone starts with empty ones.
+    train: TrainScratch,
+    /// Samples × epochs of every training step so far: the work count
+    /// beside the end-of-day time. Telemetry: never serialised.
+    sample_epochs: u64,
+}
+
+/// Trial triples `(x, w, s)`, oldest first, held encoded: row `r` of
+/// `rows` is `arms.encode(x_r, w_r)`, computed once when the trial
+/// joins, with its raw `w_r` and `s_r` beside it. Since `encode` copies
+/// the context verbatim, a row's first `width − 1` values are `x_r`.
+#[derive(Clone, Debug)]
+struct Trials {
+    width: usize,
+    rows: Vec<f64>,
+    workloads: Vec<f64>,
+    rewards: Vec<f64>,
+}
+
+impl Trials {
+    fn new(width: usize) -> Self {
+        Self { width, rows: Vec::new(), workloads: Vec::new(), rewards: Vec::new() }
+    }
+
+    fn len(&self) -> usize {
+        self.rewards.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.rewards.is_empty()
+    }
+
+    fn push(&mut self, encoded: &[f64], workload: f64, reward: f64) {
+        debug_assert_eq!(encoded.len(), self.width);
+        self.rows.extend_from_slice(encoded);
+        self.workloads.push(workload);
+        self.rewards.push(reward);
+    }
+
+    /// Move `newer`'s trials behind these, then drop the oldest until at
+    /// most `cap` remain (FIFO eviction).
+    fn append_capped(&mut self, newer: &mut Trials, cap: usize) {
+        self.rows.append(&mut newer.rows);
+        self.workloads.append(&mut newer.workloads);
+        self.rewards.append(&mut newer.rewards);
+        let excess = self.len().saturating_sub(cap);
+        self.rows.drain(..excess * self.width);
+        self.workloads.drain(..excess);
+        self.rewards.drain(..excess);
+    }
+
+    fn clear(&mut self) {
+        self.rows.clear();
+        self.workloads.clear();
+        self.rewards.clear();
+    }
+
+    /// One `obs w s x…` line per trial, after a `key count` line.
+    fn write(&self, out: &mut String, key: &str) {
+        state::push_kv(out, key, self.len());
+        let mut line = Vec::with_capacity(self.width + 1);
+        for (r, row) in self.rows.chunks_exact(self.width).enumerate() {
+            line.clear();
+            line.extend_from_slice(&[self.workloads[r], self.rewards[r]]);
+            line.extend_from_slice(&row[..self.width - 1]);
+            state::push_floats(out, "obs", &line);
+        }
+    }
+
+    /// Read a block written by [`Self::write`], encoding each trial
+    /// again with `arms`.
+    fn read<'a, I: Iterator<Item = &'a str>>(
+        lines: &mut I,
+        key: &str,
+        arms: &CandidateCapacities,
+        width: usize,
+    ) -> Result<Trials, String> {
+        let len: usize = state::parse_one(state::expect_key(lines, key)?, "observation count")?;
+        let mut trials = Trials::new(width);
+        let mut encoded = Vec::with_capacity(width);
+        for _ in 0..len {
+            let vals = state::parse_floats(state::expect_key(lines, "obs")?, "observation")?;
+            if vals.len() != width + 1 {
+                return Err(format!(
+                    "observation has {} values, the network expects {}",
+                    vals.len(),
+                    width + 1
+                ));
+            }
+            state::require_finite(&vals, "observation")?;
+            arms.encode_into(&vals[2..], vals[0], &mut encoded);
+            trials.push(&encoded, vals[0], vals[1]);
+        }
+        Ok(trials)
+    }
 }
 
 impl NnUcb {
@@ -136,18 +233,7 @@ impl NnUcb {
     ) -> Self {
         let input_dim = arms.encoded_dim(context_dim);
         let net = MlpBuilder::new(input_dim).hidden(&cfg.hidden).build(rng);
-        let dinv = InverseTracker::new(net.trainable_param_count(), cfg.lambda, cfg.covariance);
-        Self {
-            cfg,
-            arms,
-            net,
-            dinv,
-            buffer: Vec::new(),
-            replay: std::collections::VecDeque::new(),
-            trials: 0,
-            cumulative_reward: 0.0,
-            scratch_slot: None,
-        }
+        Self::from_network(net, arms, cfg)
     }
 
     /// Wrap an existing (e.g. transferred and partially frozen) network.
@@ -156,16 +242,19 @@ impl NnUcb {
     /// small `D` — exactly the personalised estimator of Sec. V-D.
     pub fn from_network(net: Mlp, arms: CandidateCapacities, cfg: NnUcbConfig) -> Self {
         let dinv = InverseTracker::new(net.trainable_param_count(), cfg.lambda, cfg.covariance);
+        let width = net.input_dim();
         Self {
             cfg,
             arms,
             net,
             dinv,
-            buffer: Vec::new(),
-            replay: std::collections::VecDeque::new(),
+            buffer: Trials::new(width),
+            replay: Trials::new(width),
             trials: 0,
             cumulative_reward: 0.0,
             scratch_slot: None,
+            train: TrainScratch::default(),
+            sample_epochs: 0,
         }
     }
 
@@ -187,6 +276,13 @@ impl NnUcb {
     /// Total reward accumulated through [`CapacityEstimator::update`].
     pub fn cumulative_reward(&self) -> f64 {
         self.cumulative_reward
+    }
+
+    /// Training work so far: samples × epochs summed over every training
+    /// step this bandit ran. Deterministic telemetry; not part of the
+    /// learned state.
+    pub fn train_sample_epochs(&self) -> u64 {
+        self.sample_epochs
     }
 
     /// The covariance tracker `D⁻¹` — read side of the bandit-state
@@ -320,29 +416,23 @@ impl NnUcb {
         // Move the fresh trials into the replay ring (when enabled) and
         // train on everything retained; otherwise train on the buffer
         // alone (Alg. 1's literal behaviour).
-        let training: Vec<(Vec<f64>, f64, f64)> = if self.cfg.replay_cap > 0 {
-            for t in self.buffer.drain(..) {
-                if self.replay.len() == self.cfg.replay_cap {
-                    self.replay.pop_front();
-                }
-                self.replay.push_back(t);
-            }
-            self.replay.iter().cloned().collect()
+        let training = if self.cfg.replay_cap > 0 {
+            self.replay.append_capped(&mut self.buffer, self.cfg.replay_cap);
+            &self.replay
         } else {
-            std::mem::take(&mut self.buffer)
+            &self.buffer
         };
-        let inputs: Vec<Vec<f64>> =
-            training.iter().map(|(x, w, _)| self.arms.encode(x, *w)).collect();
-        let targets: Vec<f64> = training.iter().map(|&(_, _, s)| s).collect();
         // Eq. (6) is a *summed* loss, so its gradient scales with the
         // buffer size; normalising the step by the batch length keeps the
         // configured learning rate meaningful for any batchSize, and the
         // norm clip prevents an early oversized step from killing every
         // ReLU (which would freeze the policy on one arm forever).
-        let lr = self.cfg.lr / inputs.len() as f64;
+        let lr = self.cfg.lr / training.len() as f64;
         for _ in 0..self.cfg.train_epochs {
-            self.net.train_step_clipped(&inputs, &targets, lr, self.cfg.lambda, 50.0);
+            let (rows, targets) = (&training.rows, &training.rewards);
+            self.net.train_step_rows(rows, targets, lr, self.cfg.lambda, 50.0, &mut self.train);
         }
+        self.sample_epochs += (training.len() * self.cfg.train_epochs) as u64;
         self.buffer.clear();
     }
 
@@ -369,9 +459,8 @@ impl NnUcb {
                 state::push_floats(out, "nnucb-dinv", diag);
             }
         }
-        write_obs(out, "nnucb-buffer", &self.buffer);
-        let replay: Vec<(Vec<f64>, f64, f64)> = self.replay.iter().cloned().collect();
-        write_obs(out, "nnucb-replay", &replay);
+        self.buffer.write(out, "nnucb-buffer");
+        self.replay.write(out, "nnucb-replay");
     }
 
     /// Rebuild a bandit from [`NnUcb::write_state`] output. The live
@@ -413,46 +502,17 @@ impl NnUcb {
             }
             other => return Err(format!("unknown dinv mode {other:?}")),
         };
-        let buffer = read_obs(lines, "nnucb-buffer")?;
-        let replay_vec = read_obs(lines, "nnucb-replay")?;
-        Ok(NnUcb {
-            cfg,
-            arms,
-            net,
-            dinv,
-            buffer,
-            replay: replay_vec.into(),
-            trials,
-            cumulative_reward: cum[0],
-            scratch_slot: None,
-        })
+        let width = net.input_dim();
+        let buffer = Trials::read(lines, "nnucb-buffer", &arms, width)?;
+        let replay = Trials::read(lines, "nnucb-replay", &arms, width)?;
+        let mut bandit = NnUcb::from_network(net, arms, cfg);
+        bandit.dinv = dinv;
+        bandit.buffer = buffer;
+        bandit.replay = replay;
+        bandit.trials = trials;
+        bandit.cumulative_reward = cum[0];
+        Ok(bandit)
     }
-}
-
-fn write_obs(out: &mut String, key: &str, obs: &[(Vec<f64>, f64, f64)]) {
-    state::push_kv(out, key, obs.len());
-    for (ctx, w, s) in obs {
-        let mut line = vec![*w, *s];
-        line.extend_from_slice(ctx);
-        state::push_floats(out, "obs", &line);
-    }
-}
-
-fn read_obs<'a, I: Iterator<Item = &'a str>>(
-    lines: &mut I,
-    key: &str,
-) -> Result<Vec<(Vec<f64>, f64, f64)>, String> {
-    let len: usize = state::parse_one(state::expect_key(lines, key)?, "observation count")?;
-    let mut obs = Vec::with_capacity(len);
-    for _ in 0..len {
-        let vals = state::parse_floats(state::expect_key(lines, "obs")?, "observation")?;
-        if vals.len() < 2 {
-            return Err("observation line too short".to_string());
-        }
-        state::require_finite(&vals, "observation")?;
-        obs.push((vals[2..].to_vec(), vals[0], vals[1]));
-    }
-    Ok(obs)
 }
 
 impl CapacityEstimator for NnUcb {
@@ -482,8 +542,8 @@ impl CapacityEstimator for NnUcb {
         self.arms.encode_into(context, workload, &mut s.enc);
         self.net.forward_with_gradient_into(&s.enc, &mut s.mlp, &mut s.grad);
         self.dinv.rank1_update(&s.grad);
+        self.buffer.push(&s.enc, workload, reward);
         self.scratch_slot = Some(s);
-        self.buffer.push((context.to_vec(), workload, reward));
         if self.buffer.len() >= self.cfg.batch_size {
             self.flush_buffer();
         }
@@ -624,17 +684,77 @@ mod tests {
         }
     }
 
+    /// One per-sample training step, the reference the batch step
+    /// reproduces: `loss_gradient`, the norm clip, `apply_trainable_delta`.
+    fn reference_step(net: &mut Mlp, inputs: &[Vec<f64>], targets: &[f64], lr: f64, lambda: f64) {
+        let (_, mut grad) = net.loss_gradient(inputs, targets, lambda);
+        let norm = linalg::vector::norm2(&grad);
+        if norm > 50.0 {
+            linalg::vector::scale(50.0 / norm, &mut grad);
+        }
+        net.apply_trainable_delta(-lr, &grad);
+    }
+
+    fn param_bits(net: &Mlp) -> Vec<u64> {
+        net.trainable_params().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A varied trial stream: contexts, workloads and rewards all move.
+    fn trial(i: usize) -> ([f64; 2], f64, f64) {
+        let ctx = [0.05 * (i % 13) as f64, 1.0 - 0.03 * (i % 7) as f64];
+        (ctx, 10.0 + (i % 5) as f64 * 10.0, 0.1 + 0.02 * (i % 9) as f64)
+    }
+
+    #[test]
+    fn replay_ring_trains_on_its_fifo_window_oldest_first() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let cfg = NnUcbConfig { lr: 0.05, train_epochs: 3, replay_cap: 32, ..Default::default() };
+        let mut b = NnUcb::new(&mut rng, 2, arms(), cfg.clone());
+        let mut reference = b.network().clone();
+        let mut window: std::collections::VecDeque<(Vec<f64>, f64)> = Default::default();
+        let (mut pending, mut flushes, mut sample_epochs) = (Vec::new(), 0, 0);
+        for i in 0..100 {
+            let (ctx, w, r) = trial(i);
+            b.update(&ctx, w, r);
+            pending.push((b.arms().encode(&ctx, w), r));
+            if pending.len() < cfg.batch_size {
+                continue;
+            }
+            for t in pending.drain(..) {
+                if window.len() == cfg.replay_cap {
+                    window.pop_front();
+                }
+                window.push_back(t);
+            }
+            let inputs: Vec<Vec<f64>> = window.iter().map(|(x, _)| x.clone()).collect();
+            let targets: Vec<f64> = window.iter().map(|&(_, r)| r).collect();
+            let lr = cfg.lr / inputs.len() as f64;
+            for _ in 0..cfg.train_epochs {
+                reference_step(&mut reference, &inputs, &targets, lr, cfg.lambda);
+            }
+            flushes += 1;
+            sample_epochs += (inputs.len() * cfg.train_epochs) as u64;
+            assert_eq!(param_bits(b.network()), param_bits(&reference), "flush {flushes}");
+            assert_eq!(b.train_sample_epochs(), sample_epochs, "flush {flushes}");
+        }
+        assert_eq!(flushes, 6, "the 32-trial ring wraps several times");
+    }
+
     #[test]
     fn full_state_roundtrip_is_bit_identical() {
-        // write_state/read_state must restore covariance, buffers and
-        // counters too — UCBs (not just predictions) match exactly, and
-        // the restored bandit evolves identically from then on.
-        let mut b = bandit(15);
-        for i in 0..37 {
-            // 37 is not a multiple of batch_size, so the buffer is
-            // non-empty at checkpoint time.
-            b.update(&[0.4, 0.2], 10.0 + (i % 5) as f64 * 10.0, 0.15 + 0.01 * (i % 3) as f64);
+        // write_state/read_state must restore covariance, buffers, the
+        // replay ring and counters too — UCBs (not just predictions)
+        // match exactly, and the restored bandit evolves identically.
+        let mut rng = StdRng::seed_from_u64(15);
+        let cfg = NnUcbConfig { lr: 0.02, train_epochs: 8, replay_cap: 32, ..Default::default() };
+        let mut b = NnUcb::new(&mut rng, 2, arms(), cfg);
+        for i in 0..75 {
+            // 75 trials flush 64 through the 32-trial ring, which has
+            // wrapped, and leave 11 in the buffer at checkpoint time.
+            let (ctx, w, r) = trial(i);
+            b.update(&ctx, w, r);
         }
+        assert_eq!((b.replay.len(), b.buffer.len()), (32, 11));
         let mut text = String::new();
         b.write_state(&mut text);
         let mut restored =
@@ -644,11 +764,22 @@ mod tests {
         for &c in b.arms().values() {
             assert_eq!(b.ucb(&[0.4, 0.2], c), restored.ucb(&[0.4, 0.2], c));
         }
-        // Divergence test: run both forward identically.
-        for i in 0..20 {
-            let w = 10.0 + (i % 5) as f64 * 10.0;
-            b.update(&[0.1, 0.9], w, 0.2);
-            restored.update(&[0.1, 0.9], w, 0.2);
+        // Divergence test: run both forward identically, through two
+        // more flushes of the ring.
+        for i in 75..115 {
+            let (ctx, w, r) = trial(i);
+            b.update(&ctx, w, r);
+            restored.update(&ctx, w, r);
+        }
+        let (mut after, mut restored_after) = (String::new(), String::new());
+        b.write_state(&mut after);
+        restored.write_state(&mut restored_after);
+        assert_eq!(after, restored_after);
+        for &c in b.arms().values() {
+            assert_eq!(
+                b.predict(&[0.1, 0.9], c).to_bits(),
+                restored.predict(&[0.1, 0.9], c).to_bits()
+            );
         }
         assert_eq!(b.estimate(&[0.1, 0.9]), restored.estimate(&[0.1, 0.9]));
         assert_eq!(b.ucb(&[0.1, 0.9], 30.0), restored.ucb(&[0.1, 0.9], 30.0));

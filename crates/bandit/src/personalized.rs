@@ -128,6 +128,13 @@ impl PersonalizedEstimator {
         NnUcb::from_network(net, self.arms.clone(), cfg)
     }
 
+    /// Training work so far, the base and every exclusive bandit (see
+    /// [`NnUcb::train_sample_epochs`]).
+    pub fn train_sample_epochs(&self) -> u64 {
+        let personal: u64 = self.per_broker.iter().flatten().map(NnUcb::train_sample_epochs).sum();
+        self.base.train_sample_epochs() + personal
+    }
+
     /// Flush any buffered trials into training (end of horizon).
     pub fn flush(&mut self) {
         self.base.flush();

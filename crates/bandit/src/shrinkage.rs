@@ -271,6 +271,11 @@ impl ShrinkageEstimator {
         self.base.flush();
     }
 
+    /// Training work so far (see [`NnUcb::train_sample_epochs`]).
+    pub fn train_sample_epochs(&self) -> u64 {
+        self.base.train_sample_epochs()
+    }
+
     /// Serialise the learned state: the shared base bandit plus every
     /// broker's per-arm statistics.
     pub fn write_state(&self, out: &mut String) {

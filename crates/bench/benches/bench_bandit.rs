@@ -1,12 +1,15 @@
 //! Capacity-estimation micro-benchmarks: per-decision and per-update
-//! costs of the bandit policies, and the full-vs-diagonal covariance
-//! ablation called out in DESIGN.md §6.
+//! costs of the bandit policies, the full-vs-diagonal covariance
+//! ablation called out in DESIGN.md §6, and one end-of-day training
+//! flush through the per-sample reference and the batch-major step
+//! (DESIGN.md §9).
 
 use bandit::{CandidateCapacities, CapacityEstimator, LinUcb, NnUcb, NnUcbConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use linalg::UcbCovariance;
+use neural::{Mlp, MlpBuilder, TrainScratch};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -74,5 +77,53 @@ fn bench_update(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_estimate, bench_update);
+/// One full flush of LACB's base bandit: 8 epochs over a 512-trial
+/// replay ring of 9-wide encoded rows, on its 9→16→8→1 ReLU network.
+fn bench_train(c: &mut Criterion) {
+    let mut group = c.benchmark_group("bandit_train");
+    group.warm_up_time(Duration::from_millis(300));
+    group.measurement_time(Duration::from_secs(2));
+    let (n, epochs, lambda, clip) = (512, 8, 0.001, 50.0);
+    let mut rng = StdRng::seed_from_u64(3);
+    let net = MlpBuilder::new(9).hidden(&[16, 8]).build(&mut rng);
+    let inputs: Vec<Vec<f64>> =
+        (0..n).map(|_| (0..9).map(|_| rng.gen_range(0.0..1.0)).collect()).collect();
+    let targets: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..0.3)).collect();
+    let rows = inputs.concat();
+    let lr = 0.05 / n as f64;
+
+    group.bench_function("reference_flush_512", |b| {
+        b.iter_batched(
+            || net.clone(),
+            |mut net: Mlp| {
+                for _ in 0..epochs {
+                    let (_, mut grad) = net.loss_gradient(&inputs, &targets, lambda);
+                    let norm = linalg::vector::norm2(&grad);
+                    if norm > clip {
+                        linalg::vector::scale(clip / norm, &mut grad);
+                    }
+                    net.apply_trainable_delta(-lr, &grad);
+                }
+                black_box(net)
+            },
+            criterion::BatchSize::SmallInput,
+        )
+    });
+    let mut scratch = TrainScratch::default();
+    group.bench_function("batch_flush_512", |b| {
+        b.iter_batched(
+            || net.clone(),
+            |mut net: Mlp| {
+                for _ in 0..epochs {
+                    net.train_step_rows(&rows, &targets, lr, lambda, clip, &mut scratch);
+                }
+                black_box(net)
+            },
+            criterion::BatchSize::SmallInput,
+        )
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_estimate, bench_update, bench_train);
 criterion_main!(benches);

@@ -196,6 +196,13 @@ impl EstimatorImpl {
             EstimatorImpl::Layer(e) => e.update(broker, context, workload, reward),
         }
     }
+
+    fn train_sample_epochs(&self) -> u64 {
+        match self {
+            EstimatorImpl::Tabular(e) => e.train_sample_epochs(),
+            EstimatorImpl::Layer(e) => e.train_sample_epochs(),
+        }
+    }
 }
 
 /// The bandit hyper-parameters used by default in this reproduction for
@@ -1367,9 +1374,11 @@ impl Assigner for Lacb {
         // Alg. 2 lines 11–13: feed (x_b, w_b, s_b) back into each
         // broker's bandit.
         if let Some(estimator) = &mut self.estimator {
+            let trained = estimator.train_sample_epochs();
             for t in &feedback.trials {
                 estimator.update(t.broker, &t.context, t.workload, t.signup_rate);
             }
+            self.breakdown.train_sample_epochs += estimator.train_sample_epochs() - trained;
         }
         // Deep audit after the feedback lands: damage it surfaces is
         // quarantined before the next begin_day re-estimates from it.

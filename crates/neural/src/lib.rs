@@ -30,4 +30,4 @@ pub mod serialize;
 pub use activation::Activation;
 pub use boosted::{Gbrt, GbrtConfig, Stump};
 pub use layer::Dense;
-pub use mlp::{Mlp, MlpBuilder, MlpScratch};
+pub use mlp::{Mlp, MlpBuilder, MlpScratch, TrainScratch};

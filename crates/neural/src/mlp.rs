@@ -41,6 +41,60 @@ pub struct MlpScratch {
     delta: Vec<f64>,
 }
 
+/// Reusable buffers for batch-major training steps
+/// ([`Mlp::train_step_rows`]), resized to each step's network and batch
+/// length, so a step whose shapes the buffers have met allocates
+/// nothing. Derived state: a clone starts empty.
+#[derive(Debug, Default)]
+pub struct TrainScratch {
+    /// `acts[l]`: layer `l`'s input unit-major (`fan_in × n`: row `k`
+    /// holds input `k` of every sample); `acts[L]` holds the predictions.
+    acts: Vec<Vec<f64>>,
+    /// `rows[l]`: layer `l`'s input sample-major (`n × fan_in`), for
+    /// trainable hidden layers; layer 0 reads the batch itself.
+    rows: Vec<Vec<f64>>,
+    /// `pre[l]`: layer `l`'s pre-activations (`fan_out × n`).
+    pre: Vec<Vec<f64>>,
+    /// `δ` of the layer being differentiated, and of the layer below.
+    delta: Vec<f64>,
+    delta_below: Vec<f64>,
+    /// The flat trainable gradient (layout of [`Mlp::param_gradient`]).
+    grad: Vec<f64>,
+}
+
+impl Clone for TrainScratch {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl TrainScratch {
+    /// Size the buffers for `net` and `n` samples. Every step overwrites
+    /// what it reads, so the contents need no reset.
+    fn prepare(&mut self, net: &Mlp, n: usize) {
+        let depth = net.layers.len();
+        self.acts.resize_with(depth + 1, Vec::new);
+        self.pre.resize_with(depth, Vec::new);
+        self.rows.resize_with(depth, Vec::new);
+        for (l, layer) in net.layers.iter().enumerate() {
+            self.acts[l].resize(layer.fan_in() * n, 0.0);
+            self.pre[l].resize(layer.fan_out() * n, 0.0);
+            let sample_major = l > 0 && !net.frozen[l];
+            self.rows[l].resize(if sample_major { layer.fan_in() * n } else { 0 }, 0.0);
+        }
+        self.acts[depth].resize(n, 0.0);
+    }
+}
+
+/// `dst = srcᵀ` for the row-major `rows × cols` block `src`.
+fn transpose_into(src: &[f64], rows: usize, cols: usize, dst: &mut [f64]) {
+    for r in 0..rows {
+        for c in 0..cols {
+            dst[c * rows + r] = src[r * cols + c];
+        }
+    }
+}
+
 /// Builder for [`Mlp`], defaulting to the paper's 3-layer ReLU network.
 #[derive(Clone, Debug)]
 pub struct MlpBuilder {
@@ -346,9 +400,18 @@ impl Mlp {
         }
     }
 
+    /// The trainable parameters in flat order (layout of
+    /// [`Self::trainable_params`]), without copying them out.
+    fn trainable_values(&self) -> impl Iterator<Item = f64> + '_ {
+        self.layers.iter().zip(&self.frozen).filter(|(_, &f)| !f).flat_map(|(l, _)| l.params())
+    }
+
     /// Gradient of the regularised batch loss of Eq. (6)
     /// `Σ_o (S_θ(x_o) − s_o)² + λ‖θ‖²` over the trainable parameters,
     /// together with the loss value itself.
+    ///
+    /// One sample at a time: this is the reference that
+    /// [`Self::train_step_rows`] reproduces bit for bit, kept for tests.
     pub fn loss_gradient(
         &self,
         inputs: &[Vec<f64>],
@@ -390,6 +453,9 @@ impl Mlp {
     /// the all-dead regime by one oversized step — without it, a large
     /// summed-loss gradient can permanently collapse `S_θ` to a constant
     /// (its output-layer bias), which silently disables the bandit.
+    ///
+    /// Copies the inputs into one block; hot paths keep their samples
+    /// encoded and call [`Self::train_step_rows`].
     pub fn train_step_clipped(
         &mut self,
         inputs: &[Vec<f64>],
@@ -398,15 +464,121 @@ impl Mlp {
         lambda: f64,
         max_grad_norm: f64,
     ) -> f64 {
-        let (l, mut grad) = self.loss_gradient(inputs, targets, lambda);
-        if max_grad_norm.is_finite() {
-            let norm = linalg::vector::norm2(&grad);
-            if norm > max_grad_norm && norm > 0.0 {
-                linalg::vector::scale(max_grad_norm / norm, &mut grad);
+        assert!(inputs.iter().all(|x| x.len() == self.input_dim()), "input dim mismatch");
+        let rows = inputs.concat();
+        let mut scratch = TrainScratch::default();
+        self.train_step_rows(&rows, targets, lr, lambda, max_grad_norm, &mut scratch)
+    }
+
+    /// [`Self::train_step_clipped`] over samples stored as one block:
+    /// sample `s`'s input is `rows[s·d..(s+1)·d]` for input dimension
+    /// `d`, its target `targets[s]`. Returns the pre-step loss.
+    ///
+    /// Batch-major: each layer runs forward over the whole batch, then
+    /// backward, through `scratch`'s buffers. The result is bit-identical
+    /// to [`Self::loss_gradient`], the clip and
+    /// [`Self::apply_trainable_delta`], one sample at a time:
+    /// - every pre-activation folds its inputs in order from −0.0, as
+    ///   `linalg::vector::dot` does, then adds the bias;
+    /// - every weight gradient is `Σ δ·x` over the samples in order from
+    ///   +0.0, skipping samples whose `δ` is 0; every bias gradient is
+    ///   `Σ δ` in the same order; `Wᵀδ` sums over units in order from
+    ///   +0.0, as `Matrix::matvec_t_into` does;
+    /// - the per-sample path adds each sample's gradient, built from
+    ///   +0.0, into a total that starts at +0.0, so its totals are these
+    ///   sums: `0.0 + t` differs from `t` only for `t = −0.0`, and adding
+    ///   either zero to a sum that never holds −0.0 changes nothing;
+    /// - after the sums, as there: the L2 term `2λθ`, the norm clip,
+    ///   then `θ −= lr·g`.
+    ///
+    /// Frozen layers get no gradient, and backpropagation stops at the
+    /// lowest trainable layer.
+    pub fn train_step_rows(
+        &mut self,
+        rows: &[f64],
+        targets: &[f64],
+        lr: f64,
+        lambda: f64,
+        max_grad_norm: f64,
+        scratch: &mut TrainScratch,
+    ) -> f64 {
+        let n = targets.len();
+        let d = self.input_dim();
+        assert_eq!(rows.len(), n * d, "batch rows do not match {n} targets of dim {d}");
+        let depth = self.layers.len();
+        let s = scratch;
+        s.prepare(self, n);
+
+        // Forward, unit-major: row `k` of `acts[0]` is input `k` of every
+        // sample. Each trainable hidden layer also gets its input
+        // sample-major, for its weight gradients.
+        transpose_into(rows, n, d, &mut s.acts[0]);
+        for (l, layer) in self.layers.iter().enumerate() {
+            let (input, output) = s.acts.split_at_mut(l + 1);
+            layer.forward_batch(n, &input[l], &mut s.pre[l], &mut output[0]);
+            if l + 1 < depth && !self.frozen[l + 1] {
+                transpose_into(&output[0], layer.fan_out(), n, &mut s.rows[l + 1]);
             }
         }
-        self.apply_trainable_delta(-lr, &grad);
-        l
+        let preds = &s.acts[depth];
+        let norm_sq: f64 = self.trainable_values().map(|v| v * v).sum();
+        let loss = loss::sse(preds, targets) + lambda * norm_sq;
+
+        // Backward, from the output layer down to the lowest trainable one.
+        let grad = &mut s.grad;
+        grad.clear();
+        grad.resize(self.trainable_param_count(), 0.0);
+        if let Some(lowest) = self.frozen.iter().position(|&f| !f) {
+            let top = depth - 1;
+            let act = self.layers[top].activation();
+            s.delta.clear();
+            s.delta.extend(
+                preds
+                    .iter()
+                    .zip(targets)
+                    .zip(&s.pre[top])
+                    .map(|((&p, &t), &z)| loss::dsq(p, t) * act.derivative(z)),
+            );
+            let mut off = grad.len();
+            for l in (lowest..depth).rev() {
+                let layer = &self.layers[l];
+                if !self.frozen[l] {
+                    off -= layer.param_count();
+                    let g = &mut grad[off..off + layer.param_count()];
+                    let (g_w, g_b) = g.split_at_mut(layer.fan_in() * layer.fan_out());
+                    let g_b = layer.uses_bias().then_some(g_b);
+                    let inputs = if l == 0 { rows } else { &s.rows[l] };
+                    layer.grads_batch(n, &s.delta, inputs, g_w, g_b);
+                }
+                if l > lowest {
+                    let below = &self.layers[l - 1];
+                    s.delta_below.resize(below.fan_out() * n, 0.0);
+                    let pre_below = &s.pre[l - 1];
+                    layer.backprop_batch(
+                        n,
+                        &s.delta,
+                        below.activation(),
+                        pre_below,
+                        &mut s.delta_below,
+                    );
+                    std::mem::swap(&mut s.delta, &mut s.delta_below);
+                }
+            }
+        }
+
+        // After the sums, exactly as the per-sample path.
+        let two_lambda = 2.0 * lambda;
+        for (g, v) in grad.iter_mut().zip(self.trainable_values()) {
+            *g += two_lambda * v;
+        }
+        if max_grad_norm.is_finite() {
+            let norm = linalg::vector::norm2(grad);
+            if norm > max_grad_norm && norm > 0.0 {
+                linalg::vector::scale(max_grad_norm / norm, grad);
+            }
+        }
+        self.apply_trainable_delta(-lr, &s.grad);
+        loss
     }
 
     /// The `ξ` of Theorem 1: the largest per-layer operator-norm bound.

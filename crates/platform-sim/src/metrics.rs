@@ -297,6 +297,10 @@ pub struct StageBreakdown {
     /// counts 0, and so does the reward lookup of each assignment.
     /// Deterministic: the work count beside the fill and kernel times.
     pub pairs_scored: u64,
+    /// Samples × epochs of every training step the matcher's capacity
+    /// estimator ran (end of day). Deterministic: the work count beside
+    /// the end-of-day time.
+    pub train_sample_epochs: u64,
 }
 
 impl StageBreakdown {
@@ -313,6 +317,7 @@ impl StageBreakdown {
         self.sparse_rows += other.sparse_rows;
         self.sparse_edges += other.sparse_edges;
         self.pairs_scored += other.pairs_scored;
+        self.train_sample_epochs += other.train_sample_epochs;
     }
 }
 

@@ -108,6 +108,10 @@ fn cutoff_boundary_and_threads_never_change_results() {
     let ds = small_world(91);
     let reference =
         run(&ds, &mut opt_with(5, 1, LacbConfig::opt().parallel_cutoff), &RunConfig::default());
+    // The training work of the two days: one flush of the base bandit,
+    // 8 epochs over a 16-trial replay ring.
+    let trained = reference.timings.breakdown.train_sample_epochs;
+    assert_eq!(trained, 16 * 8, "training sample-epochs");
     for cutoff in boundary_cutoffs(ds.brokers.len()) {
         for n_threads in [1, 2, 4, 8] {
             let got = run(&ds, &mut opt_with(5, n_threads, cutoff), &RunConfig::default());
@@ -116,6 +120,7 @@ fn cutoff_boundary_and_threads_never_change_results() {
                 None,
                 "n_threads={n_threads} cutoff={cutoff} diverged"
             );
+            assert_eq!(got.timings.breakdown.train_sample_epochs, trained);
         }
     }
 }
@@ -127,6 +132,13 @@ fn cutoff_boundary_holds_under_fault_schedules() {
     let default_cutoff = LacbConfig::opt().parallel_cutoff;
     let reference =
         run_chaos(&ds, &mut opt_with(5, 1, default_cutoff), &RunConfig::default(), plan);
+    // The plan corrupts no utility, so the matcher has nothing to panic
+    // on: a panic here is a failed internal check (a debug assertion in
+    // `assign_batch`, or in the training `end_day` runs) that the
+    // resilient ladder would otherwise hide. `first_divergence` holds
+    // every other run to the same count.
+    let panics = reference.resilience.as_ref().map_or(0, |s| s.primary_panics);
+    assert_eq!(panics, 0, "the ladder absorbed a panic under a non-corrupting plan");
     for cutoff in boundary_cutoffs(ds.brokers.len()) {
         for n_threads in [2, 8] {
             let got =
@@ -156,16 +168,20 @@ fn cutoff_boundary_holds_under_overload_ramp() {
     // a tick, and its plan corrupts utilities (rows keyed by batch
     // position) and learned state (pre-solve quarantines re-mask the
     // columns), so it reaches every rescored kind. Debug builds rescore
-    // each reused row and assert bit equality, and on the quiet plan the
-    // ladder may absorb no panic. `pairs_scored` pins how many pair
-    // utilities each reference run filled.
+    // each reused row and assert bit equality. `pairs_scored` pins how
+    // many pair utilities each reference run filled, and `absorbed` how
+    // many panics the resilient ladder caught: none on the quiet plan,
+    // and on the corrupting one the sparse KM's panic on each batch whose
+    // +∞ cells the fused kernel selected. Any other count is a failed
+    // internal check (in `assign_batch` or in training at `end_day`)
+    // that the ladder would otherwise hide.
     let corrupting = FaultConfig {
         utility_corruption: 0.3,
         corruption_density: 0.05,
         ..FaultConfig::scenario("state-corruption", 5).unwrap()
     };
-    let inputs = [([1, 4], FaultConfig::default(), 24_560), ([1, 2], corrupting, 19_584)];
-    for (stages, faults, pairs_scored) in inputs {
+    let inputs = [([1, 4], FaultConfig::default(), 24_560, 0), ([1, 2], corrupting, 19_584, 23)];
+    for (stages, faults, pairs_scored, absorbed) in inputs {
         let ramp = ramp_dataset(&base, &stages, 0x5D);
         let plan = FaultPlan::new(faults);
         // Every run must account for each offered request: admitted,
@@ -182,10 +198,8 @@ fn cutoff_boundary_holds_under_overload_ramp() {
         let reference = run_at(1, LacbConfig::opt().parallel_cutoff);
         let scored = reference.timings.breakdown.pairs_scored;
         assert_eq!(scored, pairs_scored, "pairs scored on the {stages:?} ramp");
-        if faults.is_quiet() {
-            let panics = reference.resilience.as_ref().map_or(0, |s| s.primary_panics);
-            assert_eq!(panics, 0, "the ladder absorbed a panic on a quiet ramp");
-        }
+        let panics = reference.resilience.as_ref().map_or(0, |s| s.primary_panics);
+        assert_eq!(panics, absorbed, "panics the ladder absorbed on the {stages:?} ramp");
         for cutoff in boundary_cutoffs(base.brokers.len()) {
             for n_threads in [2, 4] {
                 let got = run_at(n_threads, cutoff);
